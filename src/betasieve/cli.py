@@ -22,7 +22,8 @@ from .errors import ValidationError
 from .formats import read_campaign, read_observations, render_observations
 from .posterior import ObservationSet, posterior_of
 from .report import build_report
-from .special_functions import BetaParams, log_beta_pdf
+from .similarity import density_curve
+from .special_functions import log_beta_pdf  # noqa: F401 -- unused; perfbench/tracing.py wraps it
 from .synth import generate
 
 __all__ = ["main", "emit_plot_data", "plot_data_rows", "density_curve"]
@@ -110,25 +111,6 @@ def synth_command(spec_path: Path, fmt: str | None, out_path: Path | None) -> No
         out_path.write_text(text, encoding="utf-8")
 
 
-def density_curve(params: BetaParams, grid_step: float) -> tuple[list[float], list[float]]:
-    """Density values on the midpoint grid of width `grid_step` inside (0, 1).
-
-    Midpoints (m + 0.5) * step give exactly round(1/step) points, never
-    touch 0 or 1 (where a density with a shape below one diverges), and
-    cover the interval evenly.
-    """
-    count = int(math.floor(1.0 / grid_step - 0.5)) + 1
-    thetas = []
-    densities = []
-    for m in range(count):
-        theta = (m + 0.5) * grid_step
-        if theta >= 1.0:
-            break
-        thetas.append(theta)
-        densities.append(math.exp(log_beta_pdf(theta, params)))
-    return thetas, densities
-
-
 def plot_data_rows(obs_set: ObservationSet, outcome: DetectionOutcome, grid_step: float):
     """Long-format rows (label, theta, density, is_outlier), one curve per observation."""
     outlier_labels = {o.label for o in outcome.outliers}
@@ -146,5 +128,4 @@ def emit_plot_data(
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["label", "theta", "density", "is_outlier"])
-        for row in plot_data_rows(obs_set, outcome, grid_step):
-            writer.writerow(row)
+        writer.writerows(plot_data_rows(obs_set, outcome, grid_step))

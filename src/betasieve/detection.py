@@ -23,6 +23,8 @@ says so.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
+from operator import attrgetter
 from typing import Sequence
 
 from .posterior import Observation, ObservationSet, posterior_of
@@ -41,6 +43,8 @@ __all__ = [
 
 #: Observation count at which screening stops and declares fragmentation.
 FRAGMENT_FLOOR = 3
+
+_RANK = attrgetter("value", "i", "j")
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ def build_checklist(pairs: Sequence[PairSimilarity], k: int) -> Checklist:
         raise ValueError(
             f"pair list of length {len(pairs)} does not match a set of {k} observations"
         )
-    pairs.sort(key=lambda ps: (ps.value, ps.i, ps.j))
+    pairs.sort(key=_RANK)
     return Checklist(tuple(pairs[: k - 1]))
 
 
@@ -152,16 +156,17 @@ def find_outlier(
     labels = [o.label for o in obs]
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be unique")
-    pairs = _pairwise(obs, method, grid_step)
-    nominee, _, _, _ = _screen_round(pairs, list(range(len(obs))), labels)
+    ranked = sorted(_pairwise(obs, method, grid_step), key=_RANK)
+    nominee, _, _, _ = _screen_round(ranked, list(range(len(obs))), labels)
     return labels[nominee] if nominee is not None else None
 
 
 def _screen_round(
-    pairs: Sequence[PairSimilarity], members: list[int], labels: Sequence[str]
+    ranked: Sequence[PairSimilarity], members: list[int], labels: Sequence[str]
 ) -> tuple[int | None, Checklist, dict[str, int], list[str]]:
     """One screening round over `members` (original indices into `labels`).
 
+    `ranked` holds every pair in `_RANK` order, which survives filtering.
     Returns (nominated index or None, checklist, per-label checklist
     counts, warnings).  The nominee must sit in every pair whose value is
     within the checklist's value range, so the decision is independent of
@@ -169,14 +174,13 @@ def _screen_round(
     """
     member_set = set(members)
     k = len(members)
-    sub = [ps for ps in pairs if ps.i in member_set and ps.j in member_set]
-    checklist = build_checklist(sub, k)
+    sub = [ps for ps in ranked if ps.i in member_set and ps.j in member_set]
+    checklist = Checklist(tuple(sub[: k - 1]))
     boundary = checklist.entries[-1].value
-    sub_sorted = sorted(sub, key=lambda ps: (ps.value, ps.i, ps.j))
 
     warnings: list[str] = []
-    if len(sub_sorted) > k - 1 and sub_sorted[k - 1].value == boundary:
-        tied = [(labels[ps.i], labels[ps.j]) for ps in sub_sorted if ps.value == boundary]
+    if len(sub) > k - 1 and sub[k - 1].value == boundary:
+        tied = [(labels[ps.i], labels[ps.j]) for ps in sub if ps.value == boundary]
         pretty = ", ".join(f"({a}, {b})" for a, b in tied)
         warnings.append(
             f"checklist boundary tie at similarity {boundary!r}: membership among "
@@ -189,7 +193,7 @@ def _screen_round(
 
     # Nominate only if some observation sits in *every* pair at or below the
     # boundary value; such a nominee dominates any tie-consistent checklist.
-    eligible = [ps for ps in sub_sorted if ps.value <= boundary]
+    eligible = [ps for ps in sub if ps.value <= boundary]
     candidates = [m for m in members if all(ps.involves(m) for ps in eligible)]
     if k >= 3 and len(candidates) > 1:
         raise AssertionError("two observations cannot both sit in every least-similar pair")
@@ -220,12 +224,14 @@ def detect(
     `pairs` accepts a precomputed `similarity_list` for the same set and
     method, sparing callers that need the full list anyway a second pass.
     """
+    index_pairs = set(combinations(range(obs_set.k), 2))
     if pairs is None:
         pairs = similarity_list(obs_set, method=method, grid_step=grid_step)
-    elif len(pairs) != obs_set.k * (obs_set.k - 1) // 2:
+    elif len(pairs) != len(index_pairs) or {(ps.i, ps.j) for ps in pairs} != index_pairs:
         raise ValueError(
             f"pair list of length {len(pairs)} does not match a set of {obs_set.k} observations"
         )
+    ranked = sorted(pairs, key=_RANK)
     labels = list(obs_set.labels)
     members = list(range(obs_set.k))
     removed: list[int] = []
@@ -237,7 +243,7 @@ def detect(
         if len(members) == FRAGMENT_FLOOR:
             fragmented = True
             break
-        nominee, checklist, counts, round_warnings = _screen_round(pairs, members, labels)
+        nominee, checklist, counts, round_warnings = _screen_round(ranked, members, labels)
         warnings.extend(round_warnings)
         trace.append(
             IterationTrace(
@@ -255,7 +261,7 @@ def detect(
     if fragmented:
         # Order the last three by the cascade that would have consumed them:
         # one more nomination among the three, then input order.
-        last_nominee, _, _, _ = _screen_round(pairs, members, labels)
+        last_nominee, _, _, _ = _screen_round(ranked, members, labels)
         tail = [m for m in members if m != last_nominee]
         outlier_indices = removed + ([last_nominee] if last_nominee is not None else []) + tail
         kept_indices: list[int] = []

@@ -11,6 +11,9 @@ identical posteriors, 0 for disjoint ones.  Two evaluators are provided:
 * :func:`overlap_grid` is a fixed-step left Riemann sum of the pointwise
   minimum, the straightforward evaluation this tool's results are often
   checked against.  Error is O(step).
+
+:func:`density_curve` gives the ``--plot-data`` curves from the same
+vectorised log-density as :func:`overlap_grid`.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "DegeneratePairError",
     "PairSimilarity",
     "crossing_points",
+    "density_curve",
     "overlap_exact",
     "overlap_grid",
 ]
@@ -196,3 +200,16 @@ def _grid_logs(step: float) -> tuple[np.ndarray, np.ndarray]:
 def _log_pdf_on_grid(params: BetaParams, log_t: np.ndarray, log_1mt: np.ndarray) -> np.ndarray:
     norm = log_beta(params.alpha, params.beta)
     return (params.alpha - 1.0) * log_t + (params.beta - 1.0) * log_1mt - norm
+
+
+def density_curve(params: BetaParams, grid_step: float) -> tuple[list[float], list[float]]:
+    """Density values, as Python floats, at the round(1/step) midpoints (m + 0.5) * step.
+
+    The midpoints never touch 0 or 1, where a density with a shape below
+    one diverges, and cover the interval evenly.
+    """
+    count = int(math.floor(1.0 / grid_step - 0.5)) + 1
+    thetas = (np.arange(count) + 0.5) * grid_step
+    thetas = thetas[thetas < 1.0]
+    densities = np.exp(_log_pdf_on_grid(params, np.log(thetas), np.log1p(-thetas)))
+    return thetas.tolist(), densities.tolist()

@@ -211,10 +211,22 @@ class TestDetect:
         sims = similarity_list(s)
         assert detect(s, pairs=sims) == detect(s)
 
+    @pytest.mark.parametrize("method", ["exact", "grid"])
+    def test_precomputed_pairs_in_any_order(self, method):
+        rng = random.Random(7)
+        for events, trials in [PLANTED, MIXED, FRAGMENTED4, *random_count_sets(77, 6)]:
+            s = make_set(events, trials, allow_duplicates=True)
+            shuffled = list(similarity_list(s, method=method))
+            rng.shuffle(shuffled)
+            assert detect(s, method=method, pairs=shuffled) == detect(s, method=method)
+
     def test_precomputed_pairs_length_checked(self):
         s = make_set(*MIXED)
-        with pytest.raises(ValueError, match="does not match"):
-            detect(s, pairs=similarity_list(s)[:-1])
+        sims = similarity_list(s)
+        # too short, and the right length with one pair given twice
+        for bad in (sims[:-1], sims[:-1] + sims[:1]):
+            with pytest.raises(ValueError, match="does not match"):
+                detect(s, pairs=bad)
 
     def test_conservation_and_partition(self):
         for events, trials in random_count_sets(2024, 12):

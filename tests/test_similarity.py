@@ -1,4 +1,6 @@
 """Overlap evaluation: exact crossing-point method vs grid quadrature."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,10 +11,11 @@ from betasieve.similarity import (
     DegeneratePairError,
     PairSimilarity,
     crossing_points,
+    density_curve,
     overlap_exact,
     overlap_grid,
 )
-from betasieve.special_functions import BetaParams
+from betasieve.special_functions import BetaParams, log_beta_pdf
 
 shape = st.floats(min_value=1.0, max_value=1e4)
 
@@ -186,3 +189,27 @@ class TestOverlapGrid:
     def test_clamped_to_unit_interval(self):
         v = overlap_grid(BetaParams(1, 1), BetaParams(1.0000001, 1), 0.01)
         assert 0.0 <= v <= 1.0
+
+
+class TestDensityCurve:
+    @pytest.mark.parametrize("a,b", [
+        (0.5, 0.5), (0.01, 10), (2, 50), (51, 151), (3, 99_997), (1e5, 1e5), (99_901, 100_001),
+    ])
+    @pytest.mark.parametrize("step", [0.01, 0.001])
+    def test_matches_scalar_log_density(self, a, b, step):
+        # the per-point scalar log-density is the reference; numpy's log,
+        # log1p and exp may differ from libm's in the last digits
+        params = BetaParams(a, b)
+        thetas, densities = density_curve(params, step)
+        assert len(thetas) == len(densities) == round(1.0 / step)
+        for m, (theta, density) in enumerate(zip(thetas, densities)):
+            assert theta == (m + 0.5) * step
+            assert math.isclose(density, math.exp(log_beta_pdf(theta, params)), rel_tol=1e-9)
+
+    def test_midpoint_reaching_one_is_dropped(self):
+        # at this step the 101st midpoint (100 + 0.5) * step rounds to 1.0
+        step = 1 / 100.5
+        assert (100 + 0.5) * step == 1.0
+        thetas, densities = density_curve(BetaParams(0.5, 0.5), step)
+        assert len(thetas) == len(densities) == 100
+        assert all(0.0 < t < 1.0 for t in thetas)
