@@ -166,21 +166,19 @@ def _screen_round(
 ) -> tuple[int | None, Checklist, dict[str, int], list[str]]:
     """One screening round over `members` (original indices into `labels`).
 
-    `ranked` holds every pair in `_RANK` order, which survives filtering.
+    `ranked` holds the members' pairs, and only theirs, in `_RANK` order.
     Returns (nominated index or None, checklist, per-label checklist
     counts, warnings).  The nominee must sit in every pair whose value is
     within the checklist's value range, so the decision is independent of
     how ties were ordered.
     """
-    member_set = set(members)
     k = len(members)
-    sub = [ps for ps in ranked if ps.i in member_set and ps.j in member_set]
-    checklist = Checklist(tuple(sub[: k - 1]))
+    checklist = Checklist(tuple(ranked[: k - 1]))
     boundary = checklist.entries[-1].value
 
     warnings: list[str] = []
-    if len(sub) > k - 1 and sub[k - 1].value == boundary:
-        tied = [(labels[ps.i], labels[ps.j]) for ps in sub if ps.value == boundary]
+    if len(ranked) > k - 1 and ranked[k - 1].value == boundary:
+        tied = [(labels[ps.i], labels[ps.j]) for ps in ranked if ps.value == boundary]
         pretty = ", ".join(f"({a}, {b})" for a, b in tied)
         warnings.append(
             f"checklist boundary tie at similarity {boundary!r}: membership among "
@@ -193,7 +191,7 @@ def _screen_round(
 
     # Nominate only if some observation sits in *every* pair at or below the
     # boundary value; such a nominee dominates any tie-consistent checklist.
-    eligible = [ps for ps in sub if ps.value <= boundary]
+    eligible = [ps for ps in ranked if ps.value <= boundary]
     candidates = [m for m in members if all(ps.involves(m) for ps in eligible)]
     if k >= 3 and len(candidates) > 1:
         raise AssertionError("two observations cannot both sit in every least-similar pair")
@@ -224,10 +222,9 @@ def detect(
     `pairs` accepts a precomputed `similarity_list` for the same set and
     method, sparing callers that need the full list anyway a second pass.
     """
-    index_pairs = set(combinations(range(obs_set.k), 2))
     if pairs is None:
         pairs = similarity_list(obs_set, method=method, grid_step=grid_step)
-    elif len(pairs) != len(index_pairs) or {(ps.i, ps.j) for ps in pairs} != index_pairs:
+    elif sorted((ps.i, ps.j) for ps in pairs) != list(combinations(range(obs_set.k), 2)):
         raise ValueError(
             f"pair list of length {len(pairs)} does not match a set of {obs_set.k} observations"
         )
@@ -257,6 +254,7 @@ def detect(
             break
         members.remove(nominee)
         removed.append(nominee)
+        ranked = [ps for ps in ranked if not ps.involves(nominee)]
 
     if fragmented:
         # Order the last three by the cascade that would have consumed them:

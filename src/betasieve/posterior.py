@@ -8,7 +8,6 @@ below is integer-exact bookkeeping until the final float shapes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import DuplicatePosteriorError, TooFewObservationsError, ValidationError
@@ -88,11 +87,15 @@ def posterior_of(observation: Observation) -> BetaParams:
     alpha = events + prior.alpha and beta = (trials - events) + prior.beta,
     so with the default uniform prior an observation (N, n) maps to
     Beta(N + 1, n - N + 1).  The sums are exact in float arithmetic for
-    any realistic count.
+    any realistic count; a posterior without a finite ln B raises
+    :class:`ValidationError`.
     """
-    alpha = observation.events + observation.prior.alpha
-    beta = (observation.trials - observation.events) + observation.prior.beta
-    return BetaParams(alpha, beta)
+    try:
+        alpha = observation.events + observation.prior.alpha
+        beta = (observation.trials - observation.events) + observation.prior.beta
+        return BetaParams(alpha, beta)
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"posterior of {observation.label!r}: {exc}") from None
 
 
 def validate_set(observations, allow_duplicates: bool = False) -> ObservationSet:

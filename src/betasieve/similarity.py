@@ -24,7 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special_functions import BetaParams, beta_cdf, log_beta, log_beta_pdf
+from .special_functions import BetaParams, beta_cdf, log_beta_pdf
+from .special_functions import log_beta  # noqa: F401 -- unused; perfbench/tracing.py wraps it
 
 __all__ = [
     "DegeneratePairError",
@@ -77,7 +78,7 @@ def crossing_points(p: BetaParams, q: BetaParams) -> list[float]:
         raise DegeneratePairError(f"distributions are identical: {p}")
     du = p.alpha - q.alpha
     dv = p.beta - q.beta
-    dc = log_beta(q.alpha, q.beta) - log_beta(p.alpha, p.beta)
+    dc = q.log_norm - p.log_norm
 
     def diff(t: float) -> float:
         return dc + du * math.log(t) + dv * math.log1p(-t)
@@ -198,8 +199,7 @@ def _grid_logs(step: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_pdf_on_grid(params: BetaParams, log_t: np.ndarray, log_1mt: np.ndarray) -> np.ndarray:
-    norm = log_beta(params.alpha, params.beta)
-    return (params.alpha - 1.0) * log_t + (params.beta - 1.0) * log_1mt - norm
+    return (params.alpha - 1.0) * log_t + (params.beta - 1.0) * log_1mt - params.log_norm
 
 
 def density_curve(params: BetaParams, grid_step: float) -> tuple[list[float], list[float]]:

@@ -1,9 +1,10 @@
 """Log-space Beta-distribution primitives.
 
-Every density and tail integral in the package goes through the three
-functions defined here.  All arithmetic is carried out in log space so
-that shape parameters in the millions (i.e. huge sample sizes) neither
-overflow nor lose their tails to underflow.
+Every density and tail integral in the package goes through the
+functions defined here and BetaParams, which computes ln B(alpha, beta)
+once, when it is built, as ``log_norm``.  All arithmetic is carried out in
+log space so that shape parameters in the millions (i.e. huge sample
+sizes) neither overflow nor lose their tails to underflow.
 
 log_gamma uses the Lanczos approximation (g=7, 9 coefficients), which is
 accurate to a few ulp over the whole positive axis.  beta_cdf evaluates
@@ -24,7 +25,7 @@ __all__ = ["BetaParams", "log_gamma", "log_beta", "log_beta_pdf", "beta_cdf"]
 
 @dataclass(frozen=True, order=True)
 class BetaParams:
-    """Shape parameters of a Beta distribution. Both must be finite and positive."""
+    """Beta shapes, both finite and positive, with their finite ln B kept as ``log_norm``."""
 
     alpha: float
     beta: float
@@ -38,6 +39,10 @@ class BetaParams:
             if not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be a finite positive real, got {value!r}")
             object.__setattr__(self, name, value)
+        log_norm = math.nan if math.isinf(self.alpha + self.beta) else log_beta(self.alpha, self.beta)
+        if not math.isfinite(log_norm):
+            raise ValueError(f"Beta({self.alpha!r}, {self.beta!r}) has no finite ln B in double precision")
+        object.__setattr__(self, "log_norm", log_norm)  # not a field: eq, order, hash, repr skip it
 
 
 # Lanczos approximation, g=7, n=9 (Godfrey's coefficients).
@@ -92,7 +97,7 @@ def log_beta_pdf(theta: float, params: BetaParams) -> float:
     if not math.isfinite(theta) or not 0.0 < theta < 1.0:
         raise ValueError(f"log_beta_pdf requires 0 < theta < 1, got {theta!r}")
     a, b = params.alpha, params.beta
-    return (a - 1.0) * math.log(theta) + (b - 1.0) * math.log1p(-theta) - log_beta(a, b)
+    return (a - 1.0) * math.log(theta) + (b - 1.0) * math.log1p(-theta) - params.log_norm
 
 
 def beta_cdf(x: float, params: BetaParams) -> float:
@@ -110,7 +115,7 @@ def beta_cdf(x: float, params: BetaParams) -> float:
     if x == 1.0:
         return 1.0
     a, b = params.alpha, params.beta
-    log_front = a * math.log(x) + b * math.log1p(-x) - log_beta(a, b)
+    log_front = a * math.log(x) + b * math.log1p(-x) - params.log_norm
     front = math.exp(log_front)
     if x < (a + 1.0) / (a + b + 2.0):
         value = front * _beta_cont_frac(a, b, x) / a

@@ -7,8 +7,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_tracer_installs():
-    # perfbench/tracing.py replaces module attributes such as
-    # betasieve.cli.log_beta_pdf; a refactor that drops one breaks --trace 1
+    # perfbench/tracing.py replaces module attributes, including
+    # betasieve.cli.log_beta_pdf and betasieve.similarity.log_beta, which
+    # those modules import only for it; a refactor that drops one breaks --trace 1
     code = (
         "import sys\n"
         f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(ROOT / 'perfbench')!r}]\n"

@@ -105,6 +105,35 @@ class TestDetectCommand:
         result = runner.invoke(main, ["detect", "nope.csv"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("row,cited", [
+        ("d,10,20,1e308,1", "line 5"),         # ln B is inf - inf
+        ("d,0,1" + "0" * 306 + ",,", "'d'"),   # 10**306 trials, uniform prior
+        ("d,10,20,1e308,1e308", "line 5"),     # alpha + beta overflows
+        ("d,0,1" + "0" * 309 + ",,", "'d'"),   # trials beyond the float range
+    ], ids=["prior-1e308-1", "trials-1e306", "prior-1e308-1e308", "trials-1e309"])
+    def test_shapes_without_finite_normaliser_exit_two(self, runner, tmp_path, row, cited):
+        path = tmp_path / "obs.csv"
+        path.write_text(
+            "label,events,trials,prior_alpha,prior_beta\n"
+            f"a,10,20,,\nb,11,20,,\nc,9,20,,\n{row}\n", encoding="utf-8")
+        result = runner.invoke(main, ["detect", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error:") and cited in result.stderr
+
+    def test_extreme_accepted_shapes_run(self, runner, tmp_path):
+        # priors down to 1e-300 and counts up to 1e9 keep a finite ln B
+        path = tmp_path / "obs.csv"
+        path.write_text(
+            "label,events,trials,prior_alpha,prior_beta\n"
+            "a,0,1000000000,0.001,0.001\n"
+            "b,500000000,1000000000,1e-300,1e-300\n"
+            "c,3,10,0.001,0.001\n"
+            "d,7,10,1e-300,1e-300\n"
+            "e,1000000000,1000000000,,\n", encoding="utf-8")
+        result = runner.invoke(main, ["detect", str(path)])
+        assert result.exit_code in (0, 3), result.output
+        assert len(json.loads(result.stdout)["similarities"]) == 10
+
 
 class TestPlotData:
     def test_curves_match_report(self, runner, tmp_path):

@@ -63,6 +63,11 @@ class TestPosteriorOf:
         obs = Observation("a", 7, 15, prior=BetaParams(2, 3))
         assert posterior_of(obs) == BetaParams(9, 11)
 
+    @pytest.mark.parametrize("trials", [10**306, 10**309], ids=["1e306", "1e309"])
+    def test_counts_without_finite_normaliser_rejected(self, trials):
+        with pytest.raises(ValidationError, match="posterior of 'far'"):
+            posterior_of(Observation("far", 0, trials))
+
     @given(st.integers(min_value=1, max_value=10**9 - 1), st.integers(min_value=1, max_value=10**9))
     def test_mode_matches_frequency(self, events, trials):
         if events >= trials:

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import beta as scipy_beta
 
+from betasieve import similarity, special_functions
 from betasieve.similarity import (
     DegeneratePairError,
     PairSimilarity,
@@ -15,7 +16,7 @@ from betasieve.similarity import (
     overlap_exact,
     overlap_grid,
 )
-from betasieve.special_functions import BetaParams, log_beta_pdf
+from betasieve.special_functions import BetaParams, beta_cdf, log_beta_pdf
 
 shape = st.floats(min_value=1.0, max_value=1e4)
 
@@ -213,3 +214,26 @@ class TestDensityCurve:
         thetas, densities = density_curve(BetaParams(0.5, 0.5), step)
         assert len(thetas) == len(densities) == 100
         assert all(0.0 < t < 1.0 for t in thetas)
+
+
+class TestNormaliser:
+    def test_evaluations_read_log_norm(self, monkeypatch):
+        # ln B is computed when a BetaParams is built, never per evaluation
+        p, q = BetaParams(0.5, 3), BetaParams(16, 12)
+        calls = []
+        log_beta = special_functions.log_beta
+
+        def counting_log_beta(alpha, beta):
+            calls.append((alpha, beta))
+            return log_beta(alpha, beta)
+
+        monkeypatch.setattr(special_functions, "log_beta", counting_log_beta)
+        # a module that imported log_beta by name would call its own binding
+        monkeypatch.setattr(similarity, "log_beta", counting_log_beta, raising=False)
+        log_beta_pdf(0.3, p)
+        beta_cdf(0.3, p)
+        beta_cdf(0.9, q)
+        crossing_points(p, q)
+        overlap_grid(p, q)
+        density_curve(q, 0.01)
+        assert calls == []

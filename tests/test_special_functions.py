@@ -1,4 +1,5 @@
 """Accuracy, domain, and normalization tests for the log-space primitives."""
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,34 @@ class TestBetaParams:
     def test_equality_and_ordering(self):
         assert BetaParams(2, 3) == BetaParams(2.0, 3.0)
         assert BetaParams(1, 2) < BetaParams(2, 1)
+
+    @pytest.mark.parametrize("alpha,beta", [
+        (16, 16), (1, 1), (0.5, 0.5), (2.5, 7.25), (0.01, 10), (1e-300, 1e-300),
+        (1e-3, 1e9 + 1), (51, 151), (5e6, 5e6 + 1),
+    ])
+    def test_log_norm_is_log_beta(self, alpha, beta):
+        p = BetaParams(alpha, beta)
+        assert p.log_norm == log_beta(p.alpha, p.beta)
+        assert BetaParams(p.beta, p.alpha).log_norm == p.log_norm
+
+    def test_log_norm_is_not_a_field(self):
+        assert [f.name for f in dataclasses.fields(BetaParams)] == ["alpha", "beta"]
+        p, q = BetaParams(2, 3), BetaParams(2, 3)
+        object.__setattr__(q, "log_norm", p.log_norm + 1.0)
+        assert p == q and hash(p) == hash(q)
+        assert not p < q and not q < p
+        assert repr(q) == "BetaParams(alpha=2.0, beta=3.0)"
+
+    @pytest.mark.parametrize("alpha,beta", [
+        (1e308, 1.0),       # ln B is inf - inf
+        (1.0, 1e306),       # the posterior of 10**306 trials under the uniform prior
+        (1e308, 1e308),     # alpha + beta overflows
+        (5e-324, 1.0),      # ln Gamma of the smallest subnormal overflows
+    ])
+    def test_rejects_shapes_without_finite_log_norm(self, alpha, beta):
+        with pytest.raises(ValueError, match="no finite ln B") as info:
+            BetaParams(alpha, beta)
+        assert repr(float(alpha)) in str(info.value) and repr(float(beta)) in str(info.value)
 
 
 class TestLogGamma:
