@@ -20,7 +20,7 @@ from . import __version__
 from .detection import DetectionOutcome, detect as run_detection, similarity_list
 from .errors import ValidationError
 from .formats import read_campaign, read_observations, render_observations
-from .posterior import ObservationSet, posterior_of
+from .posterior import ObservationSet
 from .report import build_report
 from .similarity import density_curve
 from .special_functions import log_beta_pdf  # noqa: F401 -- unused; perfbench/tracing.py wraps it
@@ -114,9 +114,9 @@ def synth_command(spec_path: Path, fmt: str | None, out_path: Path | None) -> No
 def plot_data_rows(obs_set: ObservationSet, outcome: DetectionOutcome, grid_step: float):
     """Long-format rows (label, theta, density, is_outlier), one curve per observation."""
     outlier_labels = {o.label for o in outcome.outliers}
-    for obs in obs_set.observations:
+    for obs, post in zip(obs_set.observations, obs_set.posteriors):
         flag = "true" if obs.label in outlier_labels else "false"
-        thetas, densities = density_curve(posterior_of(obs), grid_step)
+        thetas, densities = density_curve(post, grid_step)
         for theta, density in zip(thetas, densities):
             yield (obs.label, repr(theta), repr(density), flag)
 

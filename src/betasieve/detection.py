@@ -29,6 +29,7 @@ from typing import Sequence
 
 from .posterior import Observation, ObservationSet, posterior_of
 from .similarity import PairSimilarity, overlap_exact, overlap_grid
+from .special_functions import BetaParams
 
 __all__ = [
     "Checklist",
@@ -88,15 +89,14 @@ def similarity_list(
     obs_set: ObservationSet, method: str = "exact", grid_step: float = 0.001
 ) -> tuple[PairSimilarity, ...]:
     """All k(k-1)/2 pairwise overlaps, ordered lexicographically by (i, j)."""
-    return _pairwise(obs_set.observations, method, grid_step)
+    return _pairwise(obs_set.posteriors, method, grid_step)
 
 
 def _pairwise(
-    observations: Sequence[Observation], method: str, grid_step: float
+    posteriors: Sequence[BetaParams], method: str, grid_step: float
 ) -> tuple[PairSimilarity, ...]:
     if method not in ("exact", "grid"):
         raise ValueError(f"method must be 'exact' or 'grid', got {method!r}")
-    posteriors = [posterior_of(o) for o in observations]
     pairs = []
     for i in range(len(posteriors)):
         for j in range(i + 1, len(posteriors)):
@@ -115,12 +115,15 @@ def build_checklist(pairs: Sequence[PairSimilarity], k: int) -> Checklist:
     function of the values.
     """
     pairs = list(pairs)
-    if k < 2 or len(pairs) != k * (k - 1) // 2:
-        raise ValueError(
-            f"pair list of length {len(pairs)} does not match a set of {k} observations"
-        )
+    _check_pairs(pairs, k)
     pairs.sort(key=_RANK)
     return Checklist(tuple(pairs[: k - 1]))
+
+
+def _check_pairs(pairs: Sequence[PairSimilarity], k: int) -> None:
+    """Reject a pair list that does not hold each (i, j), i < j < k, exactly once."""
+    if k < 2 or sorted((ps.i, ps.j) for ps in pairs) != list(combinations(range(k), 2)):
+        raise ValueError(f"pair list of length {len(pairs)} does not match a set of {k} observations")
 
 
 def checklist_count(label: str, checklist: Checklist, labels: Sequence[str]) -> int:
@@ -148,15 +151,16 @@ def find_outlier(
     sets of four or more the nominee, when one exists, is unique.
     """
     if isinstance(observations, ObservationSet):
-        obs = observations.observations
+        obs, posteriors = observations.observations, observations.posteriors
     else:
         obs = tuple(observations)
-    if len(obs) < 2:
-        raise ValueError(f"need at least 2 observations, got {len(obs)}")
+        if len(obs) < 2:
+            raise ValueError(f"need at least 2 observations, got {len(obs)}")
+        if len({o.label for o in obs}) != len(obs):
+            raise ValueError("labels must be unique")
+        posteriors = [posterior_of(o) for o in obs]
     labels = [o.label for o in obs]
-    if len(set(labels)) != len(labels):
-        raise ValueError("labels must be unique")
-    ranked = sorted(_pairwise(obs, method, grid_step), key=_RANK)
+    ranked = sorted(_pairwise(posteriors, method, grid_step), key=_RANK)
     nominee, _, _, _ = _screen_round(ranked, list(range(len(obs))), labels)
     return labels[nominee] if nominee is not None else None
 
@@ -224,10 +228,8 @@ def detect(
     """
     if pairs is None:
         pairs = similarity_list(obs_set, method=method, grid_step=grid_step)
-    elif sorted((ps.i, ps.j) for ps in pairs) != list(combinations(range(obs_set.k), 2)):
-        raise ValueError(
-            f"pair list of length {len(pairs)} does not match a set of {obs_set.k} observations"
-        )
+    else:
+        _check_pairs(pairs, obs_set.k)
     ranked = sorted(pairs, key=_RANK)
     labels = list(obs_set.labels)
     members = list(range(obs_set.k))

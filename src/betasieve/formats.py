@@ -7,6 +7,9 @@ Observation tables come in two interchangeable shapes:
   the uniform prior);
 * JSON as an array of objects with the same field names.
 
+:func:`observation_to_dict` and :func:`observation_from_dict` are the one
+codec of such a row; the report's ``observations`` entries use it too.
+
 ``parse_observations(render_observations(s)) == s`` for any valid set.
 """
 
@@ -25,6 +28,8 @@ from .synth import CampaignSpec
 
 __all__ = [
     "detect_format",
+    "observation_from_dict",
+    "observation_to_dict",
     "parse_observations",
     "render_observations",
     "read_observations",
@@ -75,21 +80,11 @@ def render_observations(obs: ObservationSet | Sequence[Observation], fmt: str) -
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(_BASE_COLUMNS + _PRIOR_COLUMNS)
-        for o in obs:
-            writer.writerow([o.label, o.events, o.trials, repr(o.prior.alpha), repr(o.prior.beta)])
+        # csv writes a float as str(), which is repr() for floats
+        writer.writerows(observation_to_dict(o).values() for o in obs)
         return buffer.getvalue()
     if fmt == "json":
-        rows = [
-            {
-                "label": o.label,
-                "events": o.events,
-                "trials": o.trials,
-                "prior_alpha": o.prior.alpha,
-                "prior_beta": o.prior.beta,
-            }
-            for o in obs
-        ]
-        return json.dumps(rows, indent=2) + "\n"
+        return json.dumps([observation_to_dict(o) for o in obs], indent=2) + "\n"
     raise InputFormatError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 
@@ -158,38 +153,34 @@ def _parse_json(text: str) -> list[Observation]:
         raise InputFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise InputFormatError(f"expected a JSON array of observations, got {type(data).__name__}")
-    observations = []
-    for pos, entry in enumerate(data):
-        if not isinstance(entry, dict):
-            raise InputFormatError(f"entry {pos}: must be an object")
-        unknown = set(entry) - set(_BASE_COLUMNS) - set(_PRIOR_COLUMNS)
-        if unknown:
-            raise InputFormatError(f"entry {pos}: unknown fields: {', '.join(sorted(unknown))}")
-        missing = set(_BASE_COLUMNS) - set(entry)
-        if missing:
-            raise InputFormatError(f"entry {pos}: missing fields: {', '.join(sorted(missing))}")
-        has_alpha = "prior_alpha" in entry
-        has_beta = "prior_beta" in entry
-        if has_alpha != has_beta:
-            raise InputFormatError(f"entry {pos}: prior_alpha and prior_beta must be given together")
-        prior = UNIFORM_PRIOR
-        if has_alpha:
-            try:
-                prior = BetaParams(entry["prior_alpha"], entry["prior_beta"])
-            except ValueError as exc:
-                raise InputFormatError(f"entry {pos}: {exc}") from exc
-        try:
-            observations.append(
-                Observation(
-                    label=entry["label"],
-                    events=entry["events"],
-                    trials=entry["trials"],
-                    prior=prior,
-                )
-            )
-        except ValidationError as exc:
-            raise InputFormatError(f"entry {pos}: {exc}") from exc
-    return observations
+    return [observation_from_dict(entry, pos) for pos, entry in enumerate(data)]
+
+
+def observation_to_dict(obs: Observation) -> dict:
+    """One observation row by column name, prior always explicit."""
+    values = (obs.label, obs.events, obs.trials, obs.prior.alpha, obs.prior.beta)
+    return dict(zip(_BASE_COLUMNS + _PRIOR_COLUMNS, values))
+
+
+def observation_from_dict(entry: object, pos: int) -> Observation:
+    """One observation from its JSON object; errors cite it as entry `pos`."""
+    if not isinstance(entry, dict):
+        raise InputFormatError(f"entry {pos}: must be an object")
+    unknown = set(entry) - set(_BASE_COLUMNS) - set(_PRIOR_COLUMNS)
+    if unknown:
+        raise InputFormatError(f"entry {pos}: unknown fields: {', '.join(sorted(unknown))}")
+    missing = set(_BASE_COLUMNS) - set(entry)
+    if missing:
+        raise InputFormatError(f"entry {pos}: missing fields: {', '.join(sorted(missing))}")
+    if ("prior_alpha" in entry) != ("prior_beta" in entry):
+        raise InputFormatError(f"entry {pos}: prior_alpha and prior_beta must be given together")
+    prior = UNIFORM_PRIOR
+    try:
+        if "prior_alpha" in entry:
+            prior = BetaParams(entry["prior_alpha"], entry["prior_beta"])
+        return Observation(entry["label"], entry["events"], entry["trials"], prior)
+    except (ValueError, ValidationError) as exc:
+        raise InputFormatError(f"entry {pos}: {exc}") from exc
 
 
 def read_campaign(path: Path | str) -> CampaignSpec:

@@ -50,10 +50,12 @@ class Observation:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """A validated, ordered collection of observations.
+    """A validated, ordered collection of observations and their posteriors.
 
-    Build these through :func:`validate_set`, which also applies the
-    duplicate-posterior policy and records any warnings.
+    ``posteriors`` holds one :class:`BetaParams` per observation, computed
+    once when the set is built.  Build these through :func:`validate_set`,
+    which also applies the duplicate-posterior policy and records any
+    warnings.
     """
 
     observations: tuple[Observation, ...]
@@ -71,6 +73,8 @@ class ObservationSet:
             seen: set[str] = set()
             dup = next(lab for lab in labels if lab in seen or seen.add(lab))
             raise ValidationError(f"labels must be unique within a set; {dup!r} appears more than once")
+        posteriors = tuple(posterior_of(obs) for obs in self.observations)
+        object.__setattr__(self, "posteriors", posteriors)  # not a field: eq, repr skip it
 
     @property
     def k(self) -> int:
@@ -107,15 +111,9 @@ def validate_set(observations, allow_duplicates: bool = False) -> ObservationSet
     ``allow_duplicates=True`` such sets are accepted and a warning is
     attached instead.
     """
-    obs = tuple(observations)
-    if len(obs) < MIN_OBSERVATIONS:
-        raise TooFewObservationsError(
-            f"need at least {MIN_OBSERVATIONS} observations, got {len(obs)}"
-        )
-    warnings: list[str] = []
+    obs_set = ObservationSet(observations)
     by_posterior: dict[tuple[float, float], list[str]] = {}
-    for o in obs:
-        post = posterior_of(o)
+    for o, post in zip(obs_set.observations, obs_set.posteriors):
         by_posterior.setdefault((post.alpha, post.beta), []).append(o.label)
     collisions = {shapes: labs for shapes, labs in by_posterior.items() if len(labs) > 1}
     if collisions:
@@ -128,8 +126,9 @@ def validate_set(observations, allow_duplicates: bool = False) -> ObservationSet
                 f"observations with identical posteriors: {described} "
                 f"(pass allow_duplicates to keep them)"
             )
-        warnings.append(f"duplicate posteriors retained: {described}")
-    return ObservationSet(obs, tuple(warnings))
+        # the set is not yet shared, so the warning is attached in place
+        object.__setattr__(obs_set, "warnings", (f"duplicate posteriors retained: {described}",))
+    return obs_set
 
 
 def _fmt(x: float) -> str:

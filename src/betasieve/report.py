@@ -16,7 +16,8 @@ from typing import Sequence
 from . import __version__
 from .detection import Checklist, DetectionOutcome, IterationTrace
 from .errors import ValidationError
-from .posterior import Observation, ObservationSet, posterior_of
+from .formats import observation_from_dict, observation_to_dict
+from .posterior import Observation, ObservationSet
 from .similarity import PairSimilarity
 from .special_functions import BetaParams
 
@@ -68,16 +69,7 @@ class Report:
             "tool_version": self.tool_version,
             "method": self.method,
             "grid_step": self.grid_step,
-            "observations": [
-                {
-                    "label": o.label,
-                    "events": o.events,
-                    "trials": o.trials,
-                    "prior_alpha": o.prior.alpha,
-                    "prior_beta": o.prior.beta,
-                }
-                for o in self.observations
-            ],
+            "observations": [observation_to_dict(o) for o in self.observations],
             "posteriors": [
                 {"label": lab, "alpha": post.alpha, "beta": post.beta}
                 for lab, post in zip(labels, self.posteriors)
@@ -129,13 +121,7 @@ class Report:
     @classmethod
     def from_dict(cls, data: dict) -> "Report":
         observations = tuple(
-            Observation(
-                label=o["label"],
-                events=o["events"],
-                trials=o["trials"],
-                prior=BetaParams(o["prior_alpha"], o["prior_beta"]),
-            )
-            for o in data["observations"]
+            observation_from_dict(o, pos) for pos, o in enumerate(data["observations"])
         )
         by_label = {o.label: o for o in observations}
         posteriors = tuple(BetaParams(p["alpha"], p["beta"]) for p in data["posteriors"])
@@ -212,7 +198,7 @@ def build_report(
         method=method,
         grid_step=grid_step if method == "grid" else None,
         observations=obs_set.observations,
-        posteriors=tuple(posterior_of(o) for o in obs_set.observations),
+        posteriors=obs_set.posteriors,
         similarities=tuple(similarities),
         cohesion=cohesion_summary(similarities),
         outcome=outcome,

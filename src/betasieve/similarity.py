@@ -176,14 +176,20 @@ def overlap_grid(p: BetaParams, q: BetaParams, step: float = 0.001) -> float:
     is clamped to [0, 1] since the rectangle sum itself can stray just
     outside.
     """
-    step = float(step)
-    if not math.isfinite(step) or not 0.0 < step <= 0.01:
-        raise ValueError(f"step must lie in (0, 0.01], got {step!r}")
+    step = _check_step(step)
     log_t, log_1mt = _grid_logs(step)
     lp = _log_pdf_on_grid(p, log_t, log_1mt)
     lq = _log_pdf_on_grid(q, log_t, log_1mt)
     total = float(np.exp(np.minimum(lp, lq)).sum()) * step
     return min(1.0, max(0.0, total))
+
+
+def _check_step(step: float) -> float:
+    """`step` as a float; a step outside (0, 0.01] raises ValueError."""
+    step = float(step)
+    if not math.isfinite(step) or not 0.0 < step <= 0.01:
+        raise ValueError(f"step must lie in (0, 0.01], got {step!r}")
+    return step
 
 
 @lru_cache(maxsize=8)
@@ -208,6 +214,7 @@ def density_curve(params: BetaParams, grid_step: float) -> tuple[list[float], li
     The midpoints never touch 0 or 1, where a density with a shape below
     one diverges, and cover the interval evenly.
     """
+    grid_step = _check_step(grid_step)
     count = int(math.floor(1.0 / grid_step - 0.5)) + 1
     thetas = (np.arange(count) + 0.5) * grid_step
     thetas = thetas[thetas < 1.0]

@@ -4,6 +4,22 @@ import random
 from betasieve.posterior import Observation, validate_set
 
 
+def count_posterior_calls(monkeypatch):
+    """Count posterior_of calls, in every module that binds the name; returns the labels seen."""
+    from betasieve import cli, detection, posterior, report, synth
+
+    calls = []
+    real = posterior.posterior_of
+
+    def counting(observation):
+        calls.append(observation.label)
+        return real(observation)
+
+    for module in (posterior, detection, report, cli, synth):
+        monkeypatch.setattr(module, "posterior_of", counting, raising=False)
+    return calls
+
+
 def make_set(events, trials, allow_duplicates=False, labels=None):
     """Build a validated set from parallel count lists."""
     if labels is None:

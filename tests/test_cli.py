@@ -12,6 +12,8 @@ from betasieve import __version__
 from betasieve.cli import density_curve, main
 from betasieve.special_functions import BetaParams
 
+from helpers import count_posterior_calls
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -58,6 +60,24 @@ class TestDetectCommand:
         assert result.exit_code == 2
         assert "error:" in result.stderr
         assert "at least 4" in result.stderr
+
+    def test_posteriors_built_once_per_observation(self, runner, tmp_path, monkeypatch):
+        calls = count_posterior_calls(monkeypatch)
+        result = runner.invoke(main, [
+            "detect", str(DATA / "mixed_scales.csv"), "--pooled",
+            "--plot-data", str(tmp_path / "plot.csv")])
+        assert result.exit_code == 0
+        assert calls == ["a", "b", "c", "d", "e"]
+
+    def test_repeated_label_and_posterior_exits_two(self, runner, tmp_path):
+        # the structural error (a repeated label) is reported before the
+        # duplicate-posterior policy is applied
+        path = tmp_path / "obs.csv"
+        path.write_text("label,events,trials\na,5,10\na,5,10\nc,3,9\nd,6,8\n", encoding="utf-8")
+        result = runner.invoke(main, ["detect", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: labels must be unique within a set; 'a' appears more than once\n")
 
     def test_bad_row_exits_two_citing_line(self, runner):
         result = runner.invoke(main, ["detect", str(DATA / "bad_events.csv")])

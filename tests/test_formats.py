@@ -166,7 +166,7 @@ class TestRoundTrip:
         obs = [
             Observation("a", 15, 30),
             Observation("b", 11, 20, prior=BetaParams(2.5, 3.0)),
-            Observation("c", 7, 15),
+            Observation("c", 7, 15, prior=BetaParams(0.1 + 0.2, 1e-300)),
             Observation("d", 29, 60),
         ]
         return make_set([15, 11, 7, 29], [30, 20, 15, 60]), obs

@@ -1,4 +1,6 @@
 """Observation validation and conjugate-update tests."""
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +20,14 @@ from betasieve.posterior import (
 from betasieve.special_functions import BetaParams
 
 from helpers import make_set
+
+# per-row priors, two with a shape below one
+PRIOR_ROWS = (
+    Observation("a", 15, 30),
+    Observation("b", 0, 7, prior=BetaParams(0.5, 0.5)),
+    Observation("c", 3, 3, prior=BetaParams(1e-3, 2)),
+    Observation("d", 29, 60, prior=BetaParams(2, 3)),
+)
 
 
 class TestObservation:
@@ -136,3 +146,30 @@ class TestValidateSet:
         s = make_set([15, 11, 7, 29], [30, 20, 15, 60])
         with pytest.raises(AttributeError):
             s.observations = ()
+
+
+class TestSetPosteriors:
+    def test_one_posterior_per_observation(self):
+        s = validate_set(PRIOR_ROWS)
+        assert s.posteriors == tuple(posterior_of(o) for o in s.observations)
+
+    def test_not_a_field(self):
+        assert "posteriors" not in {f.name for f in dataclasses.fields(ObservationSet)}
+        s, t = validate_set(PRIOR_ROWS), validate_set(PRIOR_ROWS)
+        object.__setattr__(t, "posteriors", ())
+        assert s == t
+        assert hash(s) == hash(t)
+        assert repr(s) == repr(t)
+        assert "posteriors" not in repr(s)
+
+    def test_direct_build_rejects_posterior_without_finite_normaliser(self):
+        rows = PRIOR_ROWS[:3] + (Observation("far", 0, 10**306),)
+        with pytest.raises(ValidationError, match="posterior of 'far'"):
+            ObservationSet(rows)
+
+    def test_repeated_label_reported_before_duplicate_posterior(self):
+        obs = [Observation("a", 5, 10), Observation("a", 5, 10), Observation("c", 3, 9),
+               Observation("d", 6, 8)]
+        with pytest.raises(ValidationError, match="'a' appears more than once") as err:
+            validate_set(obs)
+        assert not isinstance(err.value, DuplicatePosteriorError)

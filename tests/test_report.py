@@ -1,5 +1,6 @@
 """Report assembly, JSON round-trip, and schema conformance."""
 import json
+import re
 from statistics import median
 
 import jsonschema
@@ -7,7 +8,7 @@ import pytest
 
 from betasieve import __version__
 from betasieve.detection import detect, similarity_list
-from betasieve.errors import ValidationError
+from betasieve.errors import InputFormatError, ValidationError
 from betasieve.posterior import Observation
 from betasieve.report import (
     POOLING_NOTE,
@@ -92,6 +93,19 @@ class TestSerialization:
         rep = _report(*PLANTED, allow=True, pooled=True)
         data = json.loads(rep.to_json())
         assert Report.from_dict(data) == rep
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"label": "s2", "events": 7}, "entry 2: missing fields: trials"),
+        ({"label": "s2", "events": 99, "trials": 15}, "entry 2: events must lie in [0, trials]"),
+        ({"label": "s2", "events": 7, "trials": 15, "prior_alpha": -1.0, "prior_beta": 1.0},
+         "entry 2: alpha must be a finite positive real"),
+        ({"label": "s2", "events": 7, "trials": 15, "extra": 1}, "entry 2: unknown fields: extra"),
+    ])
+    def test_malformed_observation_cites_entry(self, entry, message):
+        data = json.loads(_report(*MIXED).to_json())
+        data["observations"][2] = entry
+        with pytest.raises(InputFormatError, match=re.escape(message)):
+            Report.from_dict(data)
 
     def test_dict_carries_labels_in_similarities(self):
         entry = _report(*MIXED).to_dict()["similarities"][0]

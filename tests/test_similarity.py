@@ -207,6 +207,12 @@ class TestDensityCurve:
             assert theta == (m + 0.5) * step
             assert math.isclose(density, math.exp(log_beta_pdf(theta, params)), rel_tol=1e-9)
 
+    @pytest.mark.parametrize("step", [-0.1, 0.0, float("nan"), 2.0])
+    def test_step_validation(self, step):
+        # the same check, and message, as overlap_grid
+        with pytest.raises(ValueError, match=r"step must lie in \(0, 0\.01\]"):
+            density_curve(BetaParams(2, 2), step)
+
     def test_midpoint_reaching_one_is_dropped(self):
         # at this step the 101st midpoint (100 + 0.5) * step rounds to 1.0
         step = 1 / 100.5

@@ -13,6 +13,8 @@ from betasieve.synth import (
     sample_binomial,
 )
 
+from helpers import count_posterior_calls
+
 BIASED_ARMS = tuple([Arm(200)] * 4 + [Arm(200, 0.9)])
 
 
@@ -158,6 +160,13 @@ class TestGenerate:
         assert out.k == 4
         assert len(out.warnings) == 1
         assert "duplicate posteriors retained" in out.warnings[0]
+
+    @pytest.mark.parametrize("arms", [BIASED_ARMS, tuple(Arm(1) for _ in range(6))],
+                             ids=["distinct", "tied"])
+    def test_posteriors_built_once_per_arm(self, arms, monkeypatch):
+        calls = count_posterior_calls(monkeypatch)
+        out = generate(CampaignSpec(0.5, arms, 42))
+        assert calls == list(out.labels)
 
     def test_empirical_mean_within_three_se(self):
         arms = tuple(Arm(500) for _ in range(4))
