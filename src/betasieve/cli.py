@@ -11,7 +11,6 @@ Exit codes are part of the contract so pipelines can gate on them:
 from __future__ import annotations
 
 import csv
-import math
 from pathlib import Path
 
 import click
@@ -22,7 +21,7 @@ from .errors import ValidationError
 from .formats import read_campaign, read_observations, render_observations
 from .posterior import ObservationSet
 from .report import build_report
-from .similarity import density_curve
+from .similarity import _check_step, density_curve
 from .special_functions import log_beta_pdf  # noqa: F401 -- unused; perfbench/tracing.py wraps it
 from .synth import generate
 
@@ -30,9 +29,10 @@ __all__ = ["main", "emit_plot_data", "plot_data_rows", "density_curve"]
 
 
 def _check_grid_step(ctx: click.Context, param: click.Parameter, value: float) -> float:
-    if not math.isfinite(value) or not 0.0 < value <= 0.01:
-        raise click.BadParameter("must lie in (0, 0.01]")
-    return value
+    try:
+        return _check_step(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from exc
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})

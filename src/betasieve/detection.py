@@ -27,8 +27,10 @@ from itertools import combinations
 from operator import attrgetter
 from typing import Sequence
 
+import numpy as np
+
 from .posterior import Observation, ObservationSet, posterior_of
-from .similarity import PairSimilarity, overlap_exact, overlap_grid
+from .similarity import PairSimilarity, _overlap_exact_pairs, overlap_exact, overlap_grid
 from .special_functions import BetaParams
 
 __all__ = [
@@ -46,6 +48,14 @@ __all__ = [
 FRAGMENT_FLOOR = 3
 
 _RANK = attrgetter("value", "i", "j")
+
+#: Exact pair count from which the array evaluator replaces the scalar loop
+#: (measured: the two cost the same near 45 pairs, k = 10, and the scalar
+#: loop is over twice as fast at k = 5), and the most pairs one array call
+#: takes (measured on 100-row tables: 512-pair blocks take a third less time
+#: than 256 at the same peak resident set; 1024 adds 0.5 MB for 30% less).
+_ARRAY_MIN_PAIRS = 45
+_BLOCK_PAIRS = 512
 
 
 @dataclass(frozen=True)
@@ -97,9 +107,18 @@ def _pairwise(
 ) -> tuple[PairSimilarity, ...]:
     if method not in ("exact", "grid"):
         raise ValueError(f"method must be 'exact' or 'grid', got {method!r}")
+    k = len(posteriors)
+    if method == "exact" and k * (k - 1) // 2 >= _ARRAY_MIN_PAIRS:
+        first, second = np.triu_indices(k, 1)
+        shapes = [np.array([getattr(p, name) for p in posteriors]) for name in ("alpha", "beta", "log_norm")]
+        values = np.concatenate([
+            _overlap_exact_pairs(*shapes, first[n:n + _BLOCK_PAIRS], second[n:n + _BLOCK_PAIRS])
+            for n in range(0, first.size, _BLOCK_PAIRS)
+        ])
+        return tuple(map(PairSimilarity, first.tolist(), second.tolist(), values.tolist()))
     pairs = []
-    for i in range(len(posteriors)):
-        for j in range(i + 1, len(posteriors)):
+    for i in range(k):
+        for j in range(i + 1, k):
             if method == "exact":
                 value = overlap_exact(posteriors[i], posteriors[j])
             else:

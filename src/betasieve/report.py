@@ -15,9 +15,9 @@ from typing import Sequence
 
 from . import __version__
 from .detection import Checklist, DetectionOutcome, IterationTrace
-from .errors import ValidationError
+from .errors import InputFormatError, ValidationError
 from .formats import observation_from_dict, observation_to_dict
-from .posterior import Observation, ObservationSet
+from .posterior import Observation, ObservationSet, posterior_of
 from .similarity import PairSimilarity
 from .special_functions import BetaParams
 
@@ -123,26 +123,34 @@ class Report:
         observations = tuple(
             observation_from_dict(o, pos) for pos, o in enumerate(data["observations"])
         )
-        by_label = {o.label: o for o in observations}
-        posteriors = tuple(BetaParams(p["alpha"], p["beta"]) for p in data["posteriors"])
+        posteriors = tuple(posterior_of(o) for o in observations)
+        given = data["posteriors"]
+        if len(given) != len(posteriors):
+            raise InputFormatError(f"{len(given)} posterior entries for {len(posteriors)} observations")
+        for pos, (entry, obs, post) in enumerate(zip(given, observations, posteriors)):
+            if _fields(entry, ("label", "alpha", "beta"), f"posterior entry {pos}") != [obs.label, post.alpha, post.beta]:
+                raise InputFormatError(
+                    f"posterior entry {pos}: {entry['label']!r} Beta({entry['alpha']!r}, {entry['beta']!r}) "
+                    f"does not match observation {obs.label!r}, whose posterior is {post}")
         similarities = tuple(
-            PairSimilarity(s["i"], s["j"], s["value"]) for s in data["similarities"]
+            _pair(s, f"similarity entry {pos}") for pos, s in enumerate(data["similarities"])
         )
         det = data["detection"]
         trace = tuple(
             IterationTrace(
                 surviving_labels=tuple(r["surviving"]),
                 checklist=Checklist(
-                    tuple(PairSimilarity(e["i"], e["j"], e["value"]) for e in r["checklist"])
+                    tuple(_pair(e, f"round {n} checklist entry {pos}") for pos, e in enumerate(r["checklist"]))
                 ),
                 checklist_counts=dict(r["checklist_counts"]),
                 removed=r["removed"],
             )
-            for r in det["trace"]
+            for n, r in enumerate(det["trace"])
         )
+        by_label = {o.label: o for o in observations}
         outcome = DetectionOutcome(
-            kept=tuple(by_label[lab] for lab in det["kept"]),
-            outliers=tuple(by_label[lab] for lab in det["outliers"]),
+            kept=_labelled(det["kept"], by_label, "detection.kept"),
+            outliers=_labelled(det["outliers"], by_label, "detection.outliers"),
             fragmented=det["fragmented"],
             trace=trace,
             warnings=tuple(det["warnings"]),
@@ -160,6 +168,30 @@ class Report:
             pooled=None if pooled is None else PooledPosterior(**pooled),
             warnings=tuple(data["warnings"]),
         )
+
+
+def _fields(entry: object, names: tuple[str, ...], where: str) -> list:
+    """The named fields of a JSON object, in order; a missing one raises InputFormatError citing `where`."""
+    if not isinstance(entry, dict):
+        raise InputFormatError(f"{where}: must be an object")
+    missing = [name for name in names if name not in entry]
+    if missing:
+        raise InputFormatError(f"{where}: missing fields: {', '.join(missing)}")
+    return [entry[name] for name in names]
+
+
+def _labelled(labels: Sequence[str], by_label: dict[str, Observation], where: str) -> tuple[Observation, ...]:
+    for pos, label in enumerate(labels):
+        if label not in by_label:
+            raise InputFormatError(f"{where} entry {pos}: unknown label {label!r}")
+    return tuple(by_label[label] for label in labels)
+
+
+def _pair(entry: object, where: str) -> PairSimilarity:
+    try:
+        return PairSimilarity(*_fields(entry, ("i", "j", "value"), where))
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"{where}: {exc}") from exc
 
 
 def cohesion_summary(similarities: Sequence[PairSimilarity]) -> CohesionSummary:

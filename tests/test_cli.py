@@ -53,7 +53,7 @@ class TestDetectCommand:
         report = json.loads(out_path.read_text(encoding="utf-8"))
         assert report["detection"]["fragmented"] is True
         assert report["detection"]["kept"] == []
-        assert report["detection"]["outliers"] == ["s3", "s2", "s0", "s1"]
+        assert report["detection"]["outliers"] == ["s3", "s0", "s1", "s2"]
 
     def test_too_few_exits_two(self, runner):
         result = runner.invoke(main, ["detect", str(DATA / "too_few.csv")])
@@ -101,11 +101,15 @@ class TestDetectCommand:
         assert report["grid_step"] == 0.001
 
     def test_planted_exact_cascades(self, runner):
+        # the quartet's mirror pairs tie exactly, so the cascade stops after
+        # the remote observation, as under grid
         result = runner.invoke(main, [
             "detect", str(DATA / "planted_five.csv"), "--allow-duplicates"])
-        assert result.exit_code == 3
+        assert result.exit_code == 0
         report = json.loads(result.stdout)
-        assert report["detection"]["fragmented"] is True
+        assert report["detection"]["fragmented"] is False
+        assert report["detection"]["outliers"] == ["s4"]
+        assert report["detection"]["kept"] == ["s0", "s1", "s2", "s3"]
 
     def test_pooled_flag(self, runner):
         result = runner.invoke(main, [
@@ -115,11 +119,13 @@ class TestDetectCommand:
         assert report["pooled"]["alpha"] == 163.0
         assert report["pooled"]["beta"] == 164.0
 
-    @pytest.mark.parametrize("step", ["0", "-0.001", "0.05", "nan"])
+    @pytest.mark.parametrize("step", ["0", "-0.001", "0.05", "nan", "-1", "0.02"])
     def test_grid_step_out_of_range(self, runner, step):
         result = runner.invoke(main, [
             "detect", str(DATA / "mixed_scales.csv"), "--grid-step", step])
         assert result.exit_code == 2
+        # the range check and its message are the evaluators' own
+        assert f"step must lie in (0, 0.01], got {float(step)!r}" in result.stderr
 
     def test_missing_file(self, runner):
         result = runner.invoke(main, ["detect", "nope.csv"])

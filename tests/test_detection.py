@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from betasieve import detection
 from betasieve.detection import (
     Checklist,
     build_checklist,
@@ -14,11 +15,15 @@ from betasieve.detection import (
 from betasieve.posterior import Observation
 
 from helpers import make_set, random_count_sets
+from reference import reference_run
 
 PLANTED = ([50, 51, 49, 50, 180], [100, 100, 100, 100, 200])
 CONCORDANT = ([50, 49, 51, 50, 48], [100, 100, 100, 100, 100])
 FRAGMENTED4 = ([50, 51, 49, 95], [100, 100, 100, 100])
 MIXED = ([15, 11, 7, 29, 100], [30, 20, 15, 60, 200])
+# the largest set the scalar loop serves and the smallest the array evaluator does
+K_SCALAR = max(k for k in range(2, 100) if k * (k - 1) // 2 < detection._ARRAY_MIN_PAIRS)
+K_ARRAY = K_SCALAR + 1
 
 
 class TestSimilarityList:
@@ -55,6 +60,38 @@ class TestSimilarityList:
 def _pairs(values_by_pair):
     from betasieve.similarity import PairSimilarity
     return [PairSimilarity(i, j, v) for (i, j), v in values_by_pair.items()]
+
+
+class TestPairwisePaths:
+    @pytest.mark.parametrize("k, path", [(K_SCALAR, "scalar"), (K_ARRAY, "array")])
+    def test_path_follows_pair_count(self, monkeypatch, k, path):
+        calls = []
+
+        def counted(name):
+            real = getattr(detection, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for name in ("overlap_exact", "_overlap_exact_pairs"):
+            monkeypatch.setattr(detection, name, counted(name))
+        events, trials = random_count_sets(11, 1, k_range=(k, k))[0]
+        similarity_list(make_set(events, trials))
+        pairs = k * (k - 1) // 2
+        if path == "scalar":
+            assert calls == ["overlap_exact"] * pairs
+        else:
+            assert calls == ["_overlap_exact_pairs"] * -(-pairs // detection._BLOCK_PAIRS)
+
+    @pytest.mark.parametrize("k", [K_SCALAR, K_ARRAY])
+    def test_verdicts_match_reference_either_side(self, k):
+        for events, trials in random_count_sets(1700 + k, 20, k_range=(k, k)):
+            outcome = detect(make_set(events, trials), method="exact")
+            removed, fragmented = reference_run(events, trials)
+            assert [(o.events, o.trials) for o in outcome.outliers] == removed
+            assert outcome.fragmented == fragmented
 
 
 class TestBuildChecklist:
@@ -170,16 +207,20 @@ class TestDetect:
     def test_planted_exact_sits_on_a_knife_edge(self):
         # After the remote observation goes, the surviving quartet's
         # non-duplicate pair overlaps are equal as real numbers (the two
-        # configurations are mirror images).  The grid evaluator returns
-        # equal floats, the tie is seen, and nomination stops; the exact
-        # evaluator resolves the mirror pairs a few ulp apart, so the
-        # cascade runs to the floor.  Pinned to catch either side moving.
+        # configurations are mirror images).  Both evaluators return equal
+        # floats for them (exact: by its canonical orientation), the tie is
+        # seen, and nomination stops, as under grid.  Pinned to catch
+        # either side moving.
         s = make_set(*PLANTED, allow_duplicates=True)
+        sims = {(ps.i, ps.j): ps.value for ps in similarity_list(s)}
+        assert sims[(0, 1)] == sims[(0, 2)] == sims[(1, 3)] == sims[(2, 3)] == 0.9207999322303203
         out = detect(s, method="exact")
-        assert out.fragmented is True
-        assert [o.label for o in out.outliers] == ["s4", "s2", "s1", "s0", "s3"]
-        assert out.kept == ()
-        assert [t.removed for t in out.trace] == ["s4", "s2"]
+        assert out.fragmented is False
+        assert [o.label for o in out.outliers] == ["s4"]
+        assert [o.label for o in out.kept] == ["s0", "s1", "s2", "s3"]
+        assert [t.removed for t in out.trace] == ["s4", None]
+        assert len(out.warnings) == 2
+        assert "(s0, s1), (s0, s2), (s1, s3), (s2, s3)" in out.warnings[1]
 
     def test_concordant_keeps_everyone(self):
         s = make_set(*CONCORDANT, allow_duplicates=True)
@@ -193,7 +234,9 @@ class TestDetect:
         out = detect(s)
         assert out.fragmented is True
         assert out.kept == ()
-        assert [o.label for o in out.outliers] == ["s3", "s2", "s0", "s1"]
+        # the s1/s2 mirror tie leaves the last three without a nominee,
+        # so they follow in input order
+        assert [o.label for o in out.outliers] == ["s3", "s0", "s1", "s2"]
         # exactly k-3 = 1 removal round before the floor
         assert [t.removed for t in out.trace] == ["s3"]
 

@@ -40,6 +40,8 @@ CASES = {
     "too_few.csv": ["too_few.csv"],
     "bad_events.csv": ["bad_events.csv"],
     "planted_five.csv": ["planted_five.csv"],
+    # 4950 pairs: past the pair count at which detection switches to the array evaluator
+    "wide_hundred.csv.exact": ["wide_hundred.csv", "--method", "exact", "--pooled"],
 }
 
 

@@ -26,6 +26,7 @@ from helpers import make_set
 MIXED = ([15, 11, 7, 29, 100], [30, 20, 15, 60, 200])
 PLANTED = ([50, 51, 49, 50, 180], [100, 100, 100, 100, 200])
 CONCORDANT = ([50, 49, 51, 50, 48], [100, 100, 100, 100, 100])
+FRAGMENTED = ([50, 51, 49, 95], [100, 100, 100, 100])
 
 
 def _report(events, trials, method="exact", grid_step=0.001, pooled=False, allow=False):
@@ -68,7 +69,7 @@ class TestBuildReport:
         assert rep.pooled.note == POOLING_NOTE
 
     def test_pooled_omitted_when_fragmented(self):
-        rep = _report(*PLANTED, pooled=True, allow=True)  # exact method fragments
+        rep = _report(*FRAGMENTED, pooled=True)  # exact method fragments
         assert rep.outcome.fragmented is True
         assert rep.pooled is None
         assert any("pooled posterior omitted" in w for w in rep.warnings)
@@ -90,7 +91,7 @@ class TestSerialization:
         assert Report.from_dict(data) == rep
 
     def test_round_trip_fragmented(self):
-        rep = _report(*PLANTED, allow=True, pooled=True)
+        rep = _report(*FRAGMENTED, pooled=True)
         data = json.loads(rep.to_json())
         assert Report.from_dict(data) == rep
 
@@ -104,6 +105,28 @@ class TestSerialization:
     def test_malformed_observation_cites_entry(self, entry, message):
         data = json.loads(_report(*MIXED).to_json())
         data["observations"][2] = entry
+        with pytest.raises(InputFormatError, match=re.escape(message)):
+            Report.from_dict(data)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["posteriors"].__setitem__(0, {"label": "s0", "alpha": 99.0, "beta": 2.0}),
+         "posterior entry 0: 's0' Beta(99.0, 2.0) does not match observation 's0', whose posterior is "
+         "BetaParams(alpha=16.0, beta=16.0)"),
+        (lambda d: d["posteriors"][1].__setitem__("label", "s4"),
+         "posterior entry 1: 's4' Beta(12.0, 10.0) does not match observation 's1'"),
+        (lambda d: d["posteriors"].pop(), "4 posterior entries for 5 observations"),
+        (lambda d: d["posteriors"][3].pop("beta"), "posterior entry 3: missing fields: beta"),
+        (lambda d: d["detection"]["kept"].__setitem__(1, "zz"), "detection.kept entry 1: unknown label 'zz'"),
+        (lambda d: d["detection"]["outliers"].append("zz"), "detection.outliers entry 0: unknown label 'zz'"),
+        (lambda d: d["similarities"][3].pop("value"), "similarity entry 3: missing fields: value"),
+        (lambda d: d["similarities"][3].__setitem__("value", 1.5), "similarity entry 3: similarity must lie in [0, 1]"),
+        (lambda d: d["detection"]["trace"][0]["checklist"][2].pop("j"),
+         "round 0 checklist entry 2: missing fields: j"),
+    ])
+    def test_malformed_report_cites_entry(self, edit, message):
+        # the same check as the observation entries above, for the rest of the report
+        data = json.loads(_report(*MIXED).to_json())
+        edit(data)
         with pytest.raises(InputFormatError, match=re.escape(message)):
             Report.from_dict(data)
 
@@ -137,7 +160,7 @@ class TestSchema:
         jsonschema.validate(rep.to_dict(), report_schema())
 
     def test_fragmented_report_validates(self):
-        rep = _report(*PLANTED, allow=True)
+        rep = _report(*FRAGMENTED)
         jsonschema.validate(rep.to_dict(), report_schema())
 
     def test_schema_rejects_missing_method(self):

@@ -1,9 +1,10 @@
 """Overlap evaluation: exact crossing-point method vs grid quadrature."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta as scipy_beta
 
@@ -11,6 +12,7 @@ from betasieve import similarity, special_functions
 from betasieve.similarity import (
     DegeneratePairError,
     PairSimilarity,
+    _overlap_exact_pairs,
     crossing_points,
     density_curve,
     overlap_exact,
@@ -19,6 +21,48 @@ from betasieve.similarity import (
 from betasieve.special_functions import BetaParams, beta_cdf, log_beta_pdf
 
 shape = st.floats(min_value=1.0, max_value=1e4)
+# shapes log-uniform over the range the CLI meets with priors below 1 and counts up to 1e6
+wide_shape = st.floats(min_value=-3.0, max_value=6.0).map(lambda e: 10.0 ** e)
+ratio = st.floats(min_value=1.2, max_value=4.0)
+
+# overlap of Beta(0.01, 10) and Beta(0.02, 5), from mpmath's betainc at 60 digits
+# on either side of the crossing at theta = 2.1132448719371824e-31
+C1_OVERLAP = 0.74621129363842086
+
+
+def array_overlaps(pairs):
+    """The array evaluator's overlaps of a list of (p, q) pairs."""
+    posts = [params for pair in pairs for params in pair]
+    shapes = [np.array([getattr(p, name) for p in posts]) for name in ("alpha", "beta", "log_norm")]
+    index = np.arange(len(posts))
+    return _overlap_exact_pairs(*shapes, index[0::2], index[1::2]).tolist()
+
+
+def mirror(p):
+    return BetaParams(p.beta, p.alpha)
+
+
+def mp_crossings(p, q):
+    """Crossings of the two densities, as floats in (0, 1).
+
+    A float sign scan of the log-density difference over u = logit(theta)
+    brackets each one; mpmath at 50 digits then bisects the bracket.
+    """
+    with mpmath.workdps(50):
+        a1, b1, a2, b2 = (mpmath.mpf(v) for v in (p.alpha, p.beta, q.alpha, q.beta))
+        dc = mpmath.log(mpmath.beta(a2, b2)) - mpmath.log(mpmath.beta(a1, b1))
+
+        def d(u):
+            return dc - (a1 - a2) * mpmath.log1p(mpmath.exp(-u)) - (b1 - b2) * mpmath.log1p(mpmath.exp(u))
+
+        u = np.arange(-745.0, 745.0, 0.25)
+        values = (float(dc) - (p.alpha - q.alpha) * np.logaddexp(0.0, -u)
+                  - (p.beta - q.beta) * np.logaddexp(0.0, u))
+        roots = []
+        for k in np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0):
+            root = mpmath.findroot(d, (mpmath.mpf(u[k]), mpmath.mpf(u[k + 1])), solver="bisect")
+            roots.append(1 / (1 + mpmath.exp(-root)))
+    return [float(t) for t in roots if 0.0 < float(t) < 1.0]
 
 
 class TestPairSimilarity:
@@ -134,6 +178,82 @@ class TestOverlapExact:
     def test_disjoint_supports_near_zero(self):
         v = overlap_exact(BetaParams(2000, 10), BetaParams(10, 2000))
         assert 0.0 <= v < 1e-9
+
+
+class TestEdgeCrossings:
+    """Crossings closer to 0 or 1 than 1e-12, found by the logit-space search."""
+
+    def test_crossing_near_zero_found(self):
+        # the old probe at 1e-12 missed this crossing and returned 1.0
+        p, q = BetaParams(0.01, 10), BetaParams(0.02, 5)
+        assert crossing_points(p, q) == pytest.approx(mp_crossings(p, q), rel=1e-12)
+        assert crossing_points(p, q)[0] == pytest.approx(2.1132448719371824e-31, rel=1e-12)
+        assert abs(overlap_exact(p, q) - C1_OVERLAP) <= 1e-12
+        assert abs(array_overlaps([(p, q)])[0] - C1_OVERLAP) <= 1e-12
+
+    @given(st.floats(min_value=-3.0, max_value=-1.5).map(lambda e: 10.0 ** e), ratio,
+           st.floats(min_value=0.0, max_value=6.0).map(lambda e: 10.0 ** e), ratio, st.booleans())
+    def test_edge_crossings_match_mpmath(self, a1, ra, b1, rb, mirrored):
+        # Beta(0.01, 10) against Beta(0.02, 5) writ large: a small alpha
+        # against a larger one, a beta against a smaller one, crossing near 0;
+        # mirroring both moves the crossing near 1
+        p, q = BetaParams(a1, b1), BetaParams(a1 * ra, b1 / rb)
+        if mirrored:
+            p, q = mirror(p), mirror(q)
+        mine = crossing_points(p, q)
+        assume(any(t < 1e-12 or t > 1.0 - 1e-12 for t in mine))
+        expected = mp_crossings(p, q)
+        assert len(mine) == len(expected)
+        for t, ref in zip(mine, expected):
+            if ref < 0.5:
+                assert t == pytest.approx(ref, rel=1e-10)
+            else:  # near 1 a float keeps 1 - t only to the ulp of 1
+                assert abs(t - ref) <= 2.3e-16
+
+
+class TestCanonicalOrientation:
+    """Swapped and mirrored pairs give the same floats on both evaluation paths."""
+
+    def test_mirror_pairs_bit_identical(self):
+        # equal as reals; the old evaluator returned ...3291 and ...3271
+        centre = BetaParams(51, 51)
+        values = {overlap_exact(centre, BetaParams(52, 50)), overlap_exact(centre, BetaParams(50, 52))}
+        values.update(array_overlaps([(centre, BetaParams(52, 50)), (BetaParams(50, 52), centre)]))
+        assert values == {0.9207999322303203}
+
+    @given(wide_shape, wide_shape, wide_shape, wide_shape)
+    def test_swaps_and_mirrors_bit_identical(self, a1, b1, a2, b2):
+        p, q = BetaParams(a1, b1), BetaParams(a2, b2)
+        orientations = [(p, q), (q, p), (mirror(p), mirror(q)), (mirror(q), mirror(p))]
+        scalar = {overlap_exact(*pair) for pair in orientations}
+        assert len(scalar) == 1
+        assert len(set(array_overlaps(orientations))) == 1
+        if p != q:
+            assert crossing_points(p, q) == crossing_points(q, p)
+
+
+class TestArrayPath:
+    """The array evaluator against the scalar overlap_exact."""
+
+    @settings(max_examples=30)
+    @given(st.lists(st.tuples(wide_shape, wide_shape, wide_shape, wide_shape), min_size=1, max_size=40))
+    def test_agrees_with_scalar(self, shapes):
+        pairs = [(BetaParams(a1, b1), BetaParams(a2, b2)) for a1, b1, a2, b2 in shapes]
+        for value, (p, q) in zip(array_overlaps(pairs), pairs):
+            assert abs(value - overlap_exact(p, q)) <= 1e-10
+
+    def test_agrees_on_a_hundred_row_table(self):
+        from betasieve.formats import read_observations
+        from pathlib import Path
+
+        posts = read_observations(Path(__file__).parent / "data" / "wide_hundred.csv").posteriors
+        pairs = [(p, q) for n, p in enumerate(posts) for q in posts[n + 1:]]
+        scalar = np.array([overlap_exact(p, q) for p, q in pairs])
+        assert np.max(np.abs(np.array(array_overlaps(pairs)) - scalar)) <= 1e-10
+
+    def test_identical_pairs_are_one(self):
+        p = BetaParams(3.5, 7)
+        assert array_overlaps([(p, p), (p, BetaParams(3.5, 7.0))]) == [1.0, 1.0]
 
 
 class TestOverlapGrid:

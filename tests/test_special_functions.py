@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betasieve.errors import NumericsError
 from betasieve.special_functions import (
     BetaParams,
+    _beta_cont_frac,
+    _beta_cont_frac_array,
     beta_cdf,
     log_beta,
     log_beta_pdf,
@@ -261,3 +264,22 @@ class TestBetaCdf:
         for x in (0.1, 0.5, 0.9, 1e-9, 1.0 - 1e-9):
             v = beta_cdf(x, BetaParams(0.5, 0.5))
             assert 0.0 <= v <= 1.0
+
+
+class TestContinuedFractionArray:
+    @settings(max_examples=30)
+    @given(st.lists(st.tuples(st.floats(min_value=-3.0, max_value=6.0), st.floats(min_value=-3.0, max_value=6.0),
+                              st.floats(min_value=0.0, max_value=1.0)), min_size=1, max_size=300))
+    def test_bit_identical_to_scalar(self, rows):
+        # the array form runs the same steps and stops each element where
+        # the scalar loop returns, whatever the others in its call still need
+        a, b, x = (np.array(v) for v in zip(*rows))
+        a, b = 10.0 ** a, 10.0 ** b
+        # on the side of the mean where beta_cdf calls it
+        x = x * (a + 1.0) / (a + b + 2.0)
+        expected = [_beta_cont_frac(*row) for row in zip(a.tolist(), b.tolist(), x.tolist())]
+        assert _beta_cont_frac_array(a, b, x).tolist() == expected
+
+    def test_non_convergence_raises(self):
+        with pytest.raises(NumericsError, match="did not converge"):
+            _beta_cont_frac_array(np.array([2.0, 1e6]), np.array([3.0, 1e6]), np.array([0.3, 0.5]), max_iter=5)
