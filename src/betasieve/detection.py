@@ -22,6 +22,7 @@ says so.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import attrgetter
@@ -48,6 +49,7 @@ __all__ = [
 FRAGMENT_FLOOR = 3
 
 _RANK = attrgetter("value", "i", "j")
+_VALUE = attrgetter("value")
 
 #: Exact pair count from which the array evaluator replaces the scalar loop
 #: (measured: the two cost the same near 45 pairs, k = 10, and the scalar
@@ -198,11 +200,13 @@ def _screen_round(
     k = len(members)
     checklist = Checklist(tuple(ranked[: k - 1]))
     boundary = checklist.entries[-1].value
+    # `ranked` is sorted, so the pairs at or below the boundary are a prefix
+    eligible = ranked[: bisect_right(ranked, boundary, lo=k - 1, key=_VALUE)]
 
     warnings: list[str] = []
-    if len(ranked) > k - 1 and ranked[k - 1].value == boundary:
-        tied = [(labels[ps.i], labels[ps.j]) for ps in ranked if ps.value == boundary]
-        pretty = ", ".join(f"({a}, {b})" for a, b in tied)
+    if len(eligible) > k - 1:
+        tied = eligible[bisect_left(eligible, boundary, hi=k - 1, key=_VALUE):]
+        pretty = ", ".join(f"({labels[ps.i]}, {labels[ps.j]})" for ps in tied)
         warnings.append(
             f"checklist boundary tie at similarity {boundary!r}: membership among "
             f"{pretty} was settled by index order"
@@ -214,7 +218,6 @@ def _screen_round(
 
     # Nominate only if some observation sits in *every* pair at or below the
     # boundary value; such a nominee dominates any tie-consistent checklist.
-    eligible = [ps for ps in ranked if ps.value <= boundary]
     candidates = [m for m in members if all(ps.involves(m) for ps in eligible)]
     if k >= 3 and len(candidates) > 1:
         raise AssertionError("two observations cannot both sit in every least-similar pair")

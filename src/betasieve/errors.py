@@ -39,3 +39,16 @@ class InputFormatError(ValidationError):
 
 class NumericsError(BetaSieveError):
     """A numerical routine failed to converge to its accuracy target."""
+
+
+def _check_object(entry: object, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> list:
+    """The `required` fields of JSON object `entry`, in order; any other shape raises InputFormatError at `where`."""
+    if not isinstance(entry, dict):
+        raise InputFormatError(f"{where}: must be an object")
+    unknown = set(entry) - set(required) - set(optional)
+    if unknown:
+        raise InputFormatError(f"{where}: unknown fields: {', '.join(sorted(unknown))}")
+    missing = [name for name in required if name not in entry]
+    if missing:
+        raise InputFormatError(f"{where}: missing fields: {', '.join(missing)}")
+    return [entry[name] for name in required]

@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 from typing import Sequence
 
-from .errors import InputFormatError, ValidationError
+from .errors import InputFormatError, ValidationError, _check_object
 from .posterior import Observation, ObservationSet, UNIFORM_PRIOR, validate_set
 from .special_functions import BetaParams
 from .synth import CampaignSpec
@@ -164,21 +164,14 @@ def observation_to_dict(obs: Observation) -> dict:
 
 def observation_from_dict(entry: object, pos: int) -> Observation:
     """One observation from its JSON object; errors cite it as entry `pos`."""
-    if not isinstance(entry, dict):
-        raise InputFormatError(f"entry {pos}: must be an object")
-    unknown = set(entry) - set(_BASE_COLUMNS) - set(_PRIOR_COLUMNS)
-    if unknown:
-        raise InputFormatError(f"entry {pos}: unknown fields: {', '.join(sorted(unknown))}")
-    missing = set(_BASE_COLUMNS) - set(entry)
-    if missing:
-        raise InputFormatError(f"entry {pos}: missing fields: {', '.join(sorted(missing))}")
+    label, events, trials = _check_object(entry, f"entry {pos}", _BASE_COLUMNS, _PRIOR_COLUMNS)
     if ("prior_alpha" in entry) != ("prior_beta" in entry):
         raise InputFormatError(f"entry {pos}: prior_alpha and prior_beta must be given together")
     prior = UNIFORM_PRIOR
     try:
         if "prior_alpha" in entry:
             prior = BetaParams(entry["prior_alpha"], entry["prior_beta"])
-        return Observation(entry["label"], entry["events"], entry["trials"], prior)
+        return Observation(label, events, trials, prior)
     except (ValueError, ValidationError) as exc:
         raise InputFormatError(f"entry {pos}: {exc}") from exc
 

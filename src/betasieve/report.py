@@ -2,7 +2,14 @@
 
 A report round-trips losslessly through JSON (``to_dict``/``from_dict``)
 and the JSON shape is pinned by ``schemas/report.schema.json`` shipped
-with the package.
+with the package.  ``from_dict`` trusts none of it: each object of the
+report must be an object with no unknown and no missing field, the
+posteriors must be those of the observations, the similarities must hold
+each pair once and name its two observations, and every label that the
+detection block or a round names must be an observation's (a round's
+removal one of its survivors, its counts keyed by exactly those).  Any
+other input raises :class:`InputFormatError` naming the place, such as
+``cohesion`` or ``round 2 checklist entry 0``.
 """
 
 from __future__ import annotations
@@ -10,12 +17,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from operator import index
 from statistics import median
 from typing import Sequence
 
 from . import __version__
-from .detection import Checklist, DetectionOutcome, IterationTrace
-from .errors import InputFormatError, ValidationError
+from .detection import Checklist, DetectionOutcome, IterationTrace, _check_pairs
+from .errors import InputFormatError, ValidationError, _check_object
 from .formats import observation_from_dict, observation_to_dict
 from .posterior import Observation, ObservationSet, posterior_of
 from .similarity import PairSimilarity
@@ -119,79 +127,71 @@ class Report:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Report":
-        observations = tuple(
-            observation_from_dict(o, pos) for pos, o in enumerate(data["observations"])
-        )
+    def from_dict(cls, data: object) -> "Report":
+        tool_version, method, grid_step, rows, given, entries, cohesion, det, pooled, warnings = _check_object(
+            data, "report", ("tool_version", "method", "grid_step", "observations", "posteriors",
+                             "similarities", "cohesion", "detection", "pooled", "warnings"))
+        observations = tuple(observation_from_dict(o, pos) for pos, o in enumerate(rows))
+        labels = [o.label for o in observations]
         posteriors = tuple(posterior_of(o) for o in observations)
-        given = data["posteriors"]
         if len(given) != len(posteriors):
             raise InputFormatError(f"{len(given)} posterior entries for {len(posteriors)} observations")
         for pos, (entry, obs, post) in enumerate(zip(given, observations, posteriors)):
-            if _fields(entry, ("label", "alpha", "beta"), f"posterior entry {pos}") != [obs.label, post.alpha, post.beta]:
+            if _check_object(entry, f"posterior entry {pos}", ("label", "alpha", "beta")) != [obs.label, post.alpha, post.beta]:
                 raise InputFormatError(
                     f"posterior entry {pos}: {entry['label']!r} Beta({entry['alpha']!r}, {entry['beta']!r}) "
                     f"does not match observation {obs.label!r}, whose posterior is {post}")
         similarities = tuple(
-            _pair(s, f"similarity entry {pos}") for pos, s in enumerate(data["similarities"])
-        )
-        det = data["detection"]
-        trace = tuple(
-            IterationTrace(
-                surviving_labels=tuple(r["surviving"]),
-                checklist=Checklist(
-                    tuple(_pair(e, f"round {n} checklist entry {pos}") for pos, e in enumerate(r["checklist"]))
-                ),
-                checklist_counts=dict(r["checklist_counts"]),
-                removed=r["removed"],
-            )
-            for n, r in enumerate(det["trace"])
-        )
+            _pair(s, f"similarity entry {pos}", ("i", "j", "label_i", "label_j", "value")) for pos, s in enumerate(entries))
+        try:
+            _check_pairs(similarities, len(labels))
+        except ValueError as exc:
+            raise InputFormatError(f"similarities: {exc}") from exc
+        for pos, (entry, ps) in enumerate(zip(entries, similarities)):
+            if [entry["label_i"], entry["label_j"]] != [labels[ps.i], labels[ps.j]]:
+                raise InputFormatError(f"similarity entry {pos}: labels {entry['label_i']!r}, {entry['label_j']!r} "
+                                       f"do not match observations {labels[ps.i]!r}, {labels[ps.j]!r}")
+        fragmented, kept, outliers, trace, det_warnings = _check_object(
+            det, "detection", ("fragmented", "kept", "outliers", "trace", "warnings"))
         by_label = {o.label: o for o in observations}
         outcome = DetectionOutcome(
-            kept=_labelled(det["kept"], by_label, "detection.kept"),
-            outliers=_labelled(det["outliers"], by_label, "detection.outliers"),
-            fragmented=det["fragmented"],
-            trace=trace,
-            warnings=tuple(det["warnings"]),
+            kept=_labelled(kept, by_label, "detection.kept"),
+            outliers=_labelled(outliers, by_label, "detection.outliers"),
+            fragmented=fragmented,
+            trace=tuple(_round(r, f"round {n}", by_label) for n, r in enumerate(trace)),
+            warnings=tuple(det_warnings),
         )
-        pooled = data["pooled"]
-        return cls(
-            tool_version=data["tool_version"],
-            method=data["method"],
-            grid_step=data["grid_step"],
-            observations=observations,
-            posteriors=posteriors,
-            similarities=similarities,
-            cohesion=CohesionSummary(**data["cohesion"]),
-            outcome=outcome,
-            pooled=None if pooled is None else PooledPosterior(**pooled),
-            warnings=tuple(data["warnings"]),
-        )
-
-
-def _fields(entry: object, names: tuple[str, ...], where: str) -> list:
-    """The named fields of a JSON object, in order; a missing one raises InputFormatError citing `where`."""
-    if not isinstance(entry, dict):
-        raise InputFormatError(f"{where}: must be an object")
-    missing = [name for name in names if name not in entry]
-    if missing:
-        raise InputFormatError(f"{where}: missing fields: {', '.join(missing)}")
-    return [entry[name] for name in names]
+        cohesion = CohesionSummary(*_check_object(cohesion, "cohesion", ("min", "median", "max")))
+        if pooled is not None:
+            pooled = PooledPosterior(*_check_object(pooled, "pooled", ("alpha", "beta", "note")))
+        return cls(tool_version, method, grid_step, observations, posteriors, similarities, cohesion, outcome,
+                   pooled, tuple(warnings))
 
 
 def _labelled(labels: Sequence[str], by_label: dict[str, Observation], where: str) -> tuple[Observation, ...]:
     for pos, label in enumerate(labels):
-        if label not in by_label:
+        if not isinstance(label, str) or label not in by_label:
             raise InputFormatError(f"{where} entry {pos}: unknown label {label!r}")
     return tuple(by_label[label] for label in labels)
 
 
-def _pair(entry: object, where: str) -> PairSimilarity:
+def _pair(entry: object, where: str, names: tuple[str, ...] = ("i", "j", "value")) -> PairSimilarity:
+    i, j, *_, value = _check_object(entry, where, names)
     try:
-        return PairSimilarity(*_fields(entry, ("i", "j", "value"), where))
+        return PairSimilarity(index(i), index(j), value)
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"{where}: {exc}") from exc
+
+
+def _round(entry: object, where: str, by_label: dict[str, Observation]) -> IterationTrace:
+    surviving, checklist, counts, removed = _check_object(
+        entry, where, ("surviving", "checklist", "checklist_counts", "removed"))
+    surviving = tuple(o.label for o in _labelled(surviving, by_label, f"{where} surviving"))
+    if removed is not None and removed not in surviving:
+        raise InputFormatError(f"{where}: removed label {removed!r} is not among the survivors")
+    checklist = Checklist(tuple(_pair(e, f"{where} checklist entry {pos}") for pos, e in enumerate(checklist)))
+    counts = dict(zip(surviving, _check_object(counts, f"{where} checklist_counts", surviving)))
+    return IterationTrace(surviving, checklist, counts, removed)
 
 
 def cohesion_summary(similarities: Sequence[PairSimilarity]) -> CohesionSummary:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputFormatError, ValidationError
+from .errors import InputFormatError, ValidationError, _check_object
 from .posterior import Observation, ObservationSet, validate_set
 
 __all__ = ["Arm", "CampaignSpec", "SplitMix64", "sample_binomial", "generate"]
@@ -147,32 +147,18 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: object) -> "CampaignSpec":
-        if not isinstance(data, dict):
-            raise InputFormatError(f"campaign spec must be a JSON object, got {type(data).__name__}")
-        extra = set(data) - {"true_theta", "seed", "arms"}
-        if extra:
-            raise InputFormatError(f"unknown campaign fields: {', '.join(sorted(extra))}")
-        missing = {"true_theta", "seed", "arms"} - set(data)
-        if missing:
-            raise InputFormatError(f"campaign spec is missing: {', '.join(sorted(missing))}")
-        raw_arms = data["arms"]
+        true_theta, seed, raw_arms = _check_object(data, "campaign spec", ("true_theta", "seed", "arms"))
         if not isinstance(raw_arms, list):
             raise InputFormatError("campaign 'arms' must be an array")
         arms = []
         for pos, entry in enumerate(raw_arms):
-            if not isinstance(entry, dict):
-                raise InputFormatError(f"arm {pos}: must be an object")
-            unknown = set(entry) - {"trials", "bias_theta"}
-            if unknown:
-                raise InputFormatError(f"arm {pos}: unknown fields: {', '.join(sorted(unknown))}")
-            if "trials" not in entry:
-                raise InputFormatError(f"arm {pos}: missing 'trials'")
+            (trials,) = _check_object(entry, f"arm {pos}", ("trials",), ("bias_theta",))
             try:
-                arms.append(Arm(entry["trials"], entry.get("bias_theta")))
+                arms.append(Arm(trials, entry.get("bias_theta")))
             except ValidationError as exc:
                 raise InputFormatError(f"arm {pos}: {exc}") from exc
         try:
-            return cls(data["true_theta"], tuple(arms), data["seed"])
+            return cls(true_theta, tuple(arms), seed)
         except ValidationError as exc:
             raise InputFormatError(str(exc)) from exc
 

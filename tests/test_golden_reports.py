@@ -16,10 +16,12 @@ import json
 import math
 from pathlib import Path
 
+import jsonschema
 import pytest
 from click.testing import CliRunner
 
 from betasieve.cli import main
+from betasieve.report import Report, report_schema
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "reports"
@@ -91,6 +93,29 @@ def test_matches_golden(case):
 
 def test_every_golden_has_a_case():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+
+
+def golden_report(case):
+    return json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))["report"]
+
+
+REPORTED = [case for case in sorted(CASES) if golden_report(case) is not None]
+
+
+@pytest.mark.parametrize("case", REPORTED)
+def test_golden_report_validates_and_reloads(case):
+    # the loader must accept every report the CLI writes, and lose nothing of it
+    report = golden_report(case)
+    jsonschema.validate(report, report_schema())
+    assert json.dumps(Report.from_dict(report).to_dict()) == json.dumps(report)
+
+
+def test_golden_reports_cover_every_report_shape():
+    reports = [golden_report(case) for case in REPORTED]
+    assert any(r["detection"]["fragmented"] for r in reports)
+    assert any(r["method"] == "grid" for r in reports)
+    assert any(r["pooled"] is not None for r in reports)
+    assert any("duplicate posteriors retained" in w for r in reports for w in r["warnings"])
 
 
 class TestAssertMatches:

@@ -1,4 +1,5 @@
 """Report assembly, JSON round-trip, and schema conformance."""
+import copy
 import json
 import re
 from statistics import median
@@ -27,6 +28,34 @@ MIXED = ([15, 11, 7, 29, 100], [30, 20, 15, 60, 200])
 PLANTED = ([50, 51, 49, 50, 180], [100, 100, 100, 100, 200])
 CONCORDANT = ([50, 49, 51, 50, 48], [100, 100, 100, 100, 100])
 FRAGMENTED = ([50, 51, 49, 95], [100, 100, 100, 100])
+
+# Every object the report schema defines, by its path in a report (0 for an
+# array's first item), and the place an error on it names.
+SCHEMA_OBJECTS = {
+    (): "report",
+    ("observations", 0): "entry 0",
+    ("posteriors", 0): "posterior entry 0",
+    ("similarities", 0): "similarity entry 0",
+    ("cohesion",): "cohesion",
+    ("detection",): "detection",
+    ("detection", "trace", 0): "round 0",
+    ("detection", "trace", 0, "checklist", 0): "round 0 checklist entry 0",
+    ("detection", "trace", 0, "checklist_counts"): "round 0 checklist_counts",
+    ("pooled",): "pooled",
+}
+
+
+def _object_schemas(schema, path=()):
+    """{path: object schema} for every object under `schema`, arrays entered at item 0."""
+    found = {}
+    for option in schema.get("oneOf", [schema]):
+        if option.get("type") == "object":
+            found[path] = option
+            for name, sub in option.get("properties", {}).items():
+                found.update(_object_schemas(sub, path + (name,)))
+        elif option.get("type") == "array":
+            found.update(_object_schemas(option["items"], path + (0,)))
+    return found
 
 
 def _report(events, trials, method="exact", grid_step=0.001, pooled=False, allow=False):
@@ -122,13 +151,62 @@ class TestSerialization:
         (lambda d: d["similarities"][3].__setitem__("value", 1.5), "similarity entry 3: similarity must lie in [0, 1]"),
         (lambda d: d["detection"]["trace"][0]["checklist"][2].pop("j"),
          "round 0 checklist entry 2: missing fields: j"),
+        pytest.param(lambda d: d["cohesion"].pop("max"), "cohesion: missing fields: max", id="cohesion-without-max"),
+        pytest.param(lambda d: d["pooled"].__setitem__("extra", 1), "pooled: unknown fields: extra",
+                     id="pooled-extra-key"),
+        pytest.param(lambda d: d.pop("tool_version"), "report: missing fields: tool_version",
+                     id="no-tool-version"),
+        pytest.param(lambda d: d["detection"]["trace"][0]["surviving"].__setitem__(2, "zz"),
+                     "round 0 surviving entry 2: unknown label 'zz'", id="round-unknown-survivor"),
+        pytest.param(lambda d: d["detection"]["trace"][0].__setitem__("removed", "zz"),
+                     "round 0: removed label 'zz' is not among the survivors", id="round-unknown-removal"),
+        pytest.param(lambda d: d["detection"]["trace"][0]["checklist_counts"].__setitem__("zz", 0),
+                     "round 0 checklist_counts: unknown fields: zz", id="round-unknown-count"),
+        pytest.param(lambda d: d["similarities"].__setitem__(1, dict(d["similarities"][0])),
+                     "similarities: pair list of length 10 does not match a set of 5 observations",
+                     id="repeated-pair"),
+        pytest.param(lambda d: d["similarities"].pop(4),
+                     "similarities: pair list of length 9 does not match a set of 5 observations",
+                     id="missing-pair"),
+        pytest.param(lambda d: d["similarities"][3].__setitem__("label_i", "s2"),
+                     "similarity entry 3: labels 's2', 's4' do not match observations 's0', 's4'",
+                     id="wrong-label-i"),
+        pytest.param(lambda d: d["similarities"][9].__setitem__("j", 7),
+                     "similarities: pair list of length 10 does not match a set of 5 observations",
+                     id="j-out-of-range"),
+        pytest.param(lambda d: d["similarities"][0].__setitem__("j", 1.0),
+                     "similarity entry 0: 'float' object cannot be interpreted as an integer",
+                     id="float-index"),
+        pytest.param(lambda d: d["detection"]["kept"].__setitem__(0, ["s0"]),
+                     "detection.kept entry 0: unknown label ['s0']", id="unhashable-label"),
     ])
     def test_malformed_report_cites_entry(self, edit, message):
         # the same check as the observation entries above, for the rest of the report
-        data = json.loads(_report(*MIXED).to_json())
+        data = json.loads(_report(*MIXED, pooled=True).to_json())
         edit(data)
         with pytest.raises(InputFormatError, match=re.escape(message)):
             Report.from_dict(data)
+
+    @pytest.mark.parametrize("path, place", SCHEMA_OBJECTS.items(), ids=[
+        "/".join(map(str, path)) or "report" for path in SCHEMA_OBJECTS])
+    def test_every_schema_object_is_checked(self, path, place):
+        """A required field dropped, an unknown one added, or a list in the object's place."""
+        edits = [(lambda obj, key, name=name: obj[key].pop(name), "")
+                 for name in _object_schemas(report_schema())[path].get("required", [])]
+        edits += [(lambda obj, key: obj[key].__setitem__("extra", 1), "unknown fields: extra$"),
+                  (lambda obj, key: obj.__setitem__(key, []), "must be an object$")]
+        data = _report(*MIXED, pooled=True).to_dict()
+        for edit, problem in edits:
+            holder = box = [copy.deepcopy(data)]  # the report as item 0, so the root has a holder too
+            *parents, last = (0, *path)
+            for key in parents:
+                holder = holder[key]
+            edit(holder, last)
+            with pytest.raises(InputFormatError, match=f"^{re.escape(place)}: {problem}"):
+                Report.from_dict(box[0])
+
+    def test_schema_objects_are_all_listed(self):
+        assert set(_object_schemas(report_schema())) == set(SCHEMA_OBJECTS)
 
     def test_dict_carries_labels_in_similarities(self):
         entry = _report(*MIXED).to_dict()["similarities"][0]

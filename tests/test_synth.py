@@ -112,18 +112,20 @@ class TestArmAndSpec:
         spec = CampaignSpec(0.5, BIASED_ARMS, 42)
         assert CampaignSpec.from_dict(spec.to_dict()) == spec
 
+    # the ids predate the shared object checker's wording and are kept as they were
     @pytest.mark.parametrize("data,fragment", [
-        ([], "JSON object"),
-        ({"true_theta": 0.5, "seed": 0, "arms": [], "extra": 1}, "unknown campaign fields"),
-        ({"true_theta": 0.5}, "missing"),
+        pytest.param([], "campaign spec: must be an object", id="data0-JSON object"),
+        pytest.param({"true_theta": 0.5, "seed": 0, "arms": [], "extra": 1},
+                     "campaign spec: unknown fields: extra", id="data1-unknown campaign fields"),
+        pytest.param({"true_theta": 0.5}, "campaign spec: missing fields: seed, arms", id="data2-missing"),
         ({"true_theta": 0.5, "seed": 0, "arms": {}}, "must be an array"),
         ({"true_theta": 0.5, "seed": 0, "arms": [1, 2, 3, 4]}, "arm 0: must be an object"),
         ({"true_theta": 0.5, "seed": 0,
           "arms": [{"trials": 5}, {"trials": 5}, {"trials": 5}, {"size": 5}]},
          "arm 3: unknown fields"),
-        ({"true_theta": 0.5, "seed": 0,
-          "arms": [{"trials": 5}, {"trials": 5}, {"trials": 5}, {}]},
-         "arm 3: missing 'trials'"),
+        pytest.param({"true_theta": 0.5, "seed": 0,
+                      "arms": [{"trials": 5}, {"trials": 5}, {"trials": 5}, {}]},
+                     "arm 3: missing fields: trials", id="data6-arm 3: missing 'trials'"),
         ({"true_theta": 0.5, "seed": 0,
           "arms": [{"trials": 0}, {"trials": 5}, {"trials": 5}, {"trials": 5}]},
          "arm 0"),
