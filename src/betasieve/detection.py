@@ -28,10 +28,8 @@ from itertools import combinations
 from operator import attrgetter
 from typing import Sequence
 
-import numpy as np
-
 from .posterior import Observation, ObservationSet, posterior_of
-from .similarity import PairSimilarity, _overlap_exact_pairs, overlap_exact, overlap_grid
+from .similarity import PairSimilarity, overlap_exact, overlap_grid
 from .special_functions import BetaParams
 
 __all__ = [
@@ -111,13 +109,9 @@ def _pairwise(
         raise ValueError(f"method must be 'exact' or 'grid', got {method!r}")
     k = len(posteriors)
     if method == "exact" and k * (k - 1) // 2 >= _ARRAY_MIN_PAIRS:
-        first, second = np.triu_indices(k, 1)
-        shapes = [np.array([getattr(p, name) for p in posteriors]) for name in ("alpha", "beta", "log_norm")]
-        values = np.concatenate([
-            _overlap_exact_pairs(*shapes, first[n:n + _BLOCK_PAIRS], second[n:n + _BLOCK_PAIRS])
-            for n in range(0, first.size, _BLOCK_PAIRS)
-        ])
-        return tuple(map(PairSimilarity, first.tolist(), second.tolist(), values.tolist()))
+        from . import _arrays  # numpy is imported on the first set this large
+
+        return _arrays.exact_pairs(posteriors, _BLOCK_PAIRS)
     pairs = []
     for i in range(k):
         for j in range(i + 1, k):

@@ -52,3 +52,10 @@ def _check_object(entry: object, where: str, required: tuple[str, ...], optional
     if missing:
         raise InputFormatError(f"{where}: missing fields: {', '.join(missing)}")
     return [entry[name] for name in required]
+
+
+def _check_list(value: object, where: str) -> list:
+    """`value` if it is a JSON array; anything else raises InputFormatError at `where`."""
+    if not isinstance(value, list):
+        raise InputFormatError(f"{where}: must be an array")
+    return value

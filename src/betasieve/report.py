@@ -3,12 +3,12 @@
 A report round-trips losslessly through JSON (``to_dict``/``from_dict``)
 and the JSON shape is pinned by ``schemas/report.schema.json`` shipped
 with the package.  ``from_dict`` trusts none of it: each object of the
-report must be an object with no unknown and no missing field, the
-posteriors must be those of the observations, the similarities must hold
-each pair once and name its two observations, and every label that the
-detection block or a round names must be an observation's (a round's
-removal one of its survivors, its counts keyed by exactly those).  Any
-other input raises :class:`InputFormatError` naming the place, such as
+report must be an object with no unknown and no missing field, each
+array an array, the posteriors must be those of the observations, the
+similarities must hold each pair once and name its two observations, and
+every label that the detection block or a round names must be an
+observation's (a round's removal one of its survivors, its counts keyed
+by exactly those).  Any other input raises :class:`InputFormatError` naming the place, such as
 ``cohesion`` or ``round 2 checklist entry 0``.
 """
 
@@ -23,7 +23,7 @@ from typing import Sequence
 
 from . import __version__
 from .detection import Checklist, DetectionOutcome, IterationTrace, _check_pairs
-from .errors import InputFormatError, ValidationError, _check_object
+from .errors import InputFormatError, ValidationError, _check_list, _check_object
 from .formats import observation_from_dict, observation_to_dict
 from .posterior import Observation, ObservationSet, posterior_of
 from .similarity import PairSimilarity
@@ -131,6 +131,8 @@ class Report:
         tool_version, method, grid_step, rows, given, entries, cohesion, det, pooled, warnings = _check_object(
             data, "report", ("tool_version", "method", "grid_step", "observations", "posteriors",
                              "similarities", "cohesion", "detection", "pooled", "warnings"))
+        for value, where in (rows, "observations"), (given, "posteriors"), (entries, "similarities"), (warnings, "warnings"):
+            _check_list(value, where)
         observations = tuple(observation_from_dict(o, pos) for pos, o in enumerate(rows))
         labels = [o.label for o in observations]
         posteriors = tuple(posterior_of(o) for o in observations)
@@ -153,6 +155,8 @@ class Report:
                                        f"do not match observations {labels[ps.i]!r}, {labels[ps.j]!r}")
         fragmented, kept, outliers, trace, det_warnings = _check_object(
             det, "detection", ("fragmented", "kept", "outliers", "trace", "warnings"))
+        _check_list(trace, "detection.trace")
+        _check_list(det_warnings, "detection.warnings")
         by_label = {o.label: o for o in observations}
         outcome = DetectionOutcome(
             kept=_labelled(kept, by_label, "detection.kept"),
@@ -169,7 +173,7 @@ class Report:
 
 
 def _labelled(labels: Sequence[str], by_label: dict[str, Observation], where: str) -> tuple[Observation, ...]:
-    for pos, label in enumerate(labels):
+    for pos, label in enumerate(_check_list(labels, where)):
         if not isinstance(label, str) or label not in by_label:
             raise InputFormatError(f"{where} entry {pos}: unknown label {label!r}")
     return tuple(by_label[label] for label in labels)
@@ -189,6 +193,7 @@ def _round(entry: object, where: str, by_label: dict[str, Observation]) -> Itera
     surviving = tuple(o.label for o in _labelled(surviving, by_label, f"{where} surviving"))
     if removed is not None and removed not in surviving:
         raise InputFormatError(f"{where}: removed label {removed!r} is not among the survivors")
+    checklist = _check_list(checklist, f"{where} checklist")
     checklist = Checklist(tuple(_pair(e, f"{where} checklist entry {pos}") for pos, e in enumerate(checklist)))
     counts = dict(zip(surviving, _check_object(counts, f"{where} checklist_counts", surviving)))
     return IterationTrace(surviving, checklist, counts, removed)

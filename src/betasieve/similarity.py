@@ -9,26 +9,26 @@ identical posteriors, 0 for disjoint ones.  Two evaluators are provided:
   CDF increments of whichever density is smaller between consecutive
   crossings.  Absolute error is at the level of the CDF evaluation,
   ~1e-13.  Each pair is evaluated in a canonical orientation, so swapped
-  and mirror-image pairs give the same float.  ``_overlap_exact_pairs``
-  runs the same evaluation over arrays of pairs.
+  and mirror-image pairs give the same float.  Its array form, which
+  :mod:`betasieve.detection` uses for sets of ten or more, is
+  ``_arrays.exact_pairs``.
 * :func:`overlap_grid` is a fixed-step left Riemann sum of the pointwise
   minimum, the straightforward evaluation this tool's results are often
   checked against.  Error is O(step).
 
 :func:`density_curve` gives the ``--plot-data`` curves from the same
-vectorised log-density as :func:`overlap_grid`.
+vectorised log-density as :func:`overlap_grid`.  Both check their step
+here and leave the arithmetic to :mod:`betasieve._arrays`, the one module
+that imports numpy, so the scalar evaluator runs without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
 
 from .errors import NumericsError
-from .special_functions import BetaParams, _beta_cont_frac_array, _beta_tails
+from .special_functions import BetaParams, _beta_tails
 from .special_functions import beta_cdf, log_beta, log_beta_pdf  # noqa: F401 -- unused; perfbench/tracing.py wraps them
 
 __all__ = [
@@ -211,127 +211,6 @@ def _tails(u: float, a: float, b: float, log_norm: float) -> tuple[float, float]
     return _beta_tails(math.exp(-sp_neg), math.exp(-sp_pos), -sp_neg, -sp_pos, a, b, log_norm)
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # inf and nan are routed below
-def _overlap_exact_pairs(
-    alpha: np.ndarray, beta: np.ndarray, log_norm: np.ndarray, first: np.ndarray, second: np.ndarray
-) -> np.ndarray:
-    """:func:`overlap_exact` of each pair (first[n], second[n]) of the posteriors given as arrays.
-
-    The same orientation, crossing search and segment sums run elementwise.
-    An absent crossing is put at u = +inf, where both tails are (1, 0), so
-    every array of a call keeps the call's length.  numpy's exp and log1p
-    may differ from the math module's in the last bit, so a value can
-    differ from the scalar path's in its last digits; swapped and mirrored
-    pairs still give identical floats.
-    """
-    a1, b1, n1, a2, b2, n2 = _canonical_array(
-        alpha[first], beta[first], log_norm[first], alpha[second], beta[second], log_norm[second])
-    da, db, dc = a1 - a2, b1 - b2, n2 - n1
-    zero_left, zero_right = -dc / da, dc / db
-    turn = np.log(np.abs(da)) - np.log(np.abs(db))
-    same_sign = (da != 0.0) & (db != 0.0) & ((da > 0.0) == (db > 0.0))
-    peak, _ = _log_ratio_array(np.where(same_sign, turn, 0.0), da, db, dc)
-    two = same_sign & (peak != 0.0) & ((peak > 0.0) == (da > 0.0))
-    linear = (da + db == 0.0) & (da != 0.0)
-    left = np.where(da != 0.0, -da, dc)
-    right = np.where(db != 0.0, -db, dc)
-    one = ~same_sign & ~linear & (left != 0.0) & (right != 0.0) & ((left > 0.0) != (right > 0.0))
-    # a monotone d starts from the asymptote zero nearer its own zero
-    nearer_right = one & ((da == 0.0) | (_miss(zero_right, da, db, dc) < _miss(zero_left, da, db, dc)))
-    starts = np.stack([np.where(two | one, np.where(nearer_right, zero_right, zero_left), np.nan),
-                       np.where(two, zero_right, np.nan)])
-    roots = _newton_array(starts, da, db, dc)
-    roots[0] = np.where(linear, zero_left, roots[0])
-    roots[np.isnan(roots)] = np.inf
-
-    # tails at the crossings, of the density below on the left of each and above on its right
-    below_first = left < 0.0   # d has the sign of its limit at 0 up to the first crossing
-    on_first = np.stack([below_first, ~below_first, ~below_first, below_first])
-    lower, upper = _tails_array(
-        roots[[0, 0, 1, 1]].ravel(),
-        *(np.where(on_first, v, w).ravel() for v, w in ((a1, a2), (b1, b2), (n1, n2))))
-    lower, upper = lower.reshape(4, -1), upper.reshape(4, -1)
-    total = lower[0] + np.where(lower[1] < 0.5, lower[2] - lower[1], upper[1] - upper[2])
-    total += np.where(lower[3] < 0.5, 1.0 - lower[3], upper[3])
-    np.clip(total, 0.0, 1.0, out=total)
-    total[(da == 0.0) & (db == 0.0)] = 1.0
-    return total
-
-
-def _canonical_array(*shapes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`_canonical` elementwise: (a1, b1, n1, a2, b2, n2) from the same six arrays of the pairs."""
-    a1, b1, n1, a2, b2, n2 = shapes
-    swap = _lex_less((a2, b2), (a1, b1))
-    a1, b1, n1, a2, b2, n2 = (np.where(swap, w, v) for v, w in
-                              ((a1, a2), (b1, b2), (n1, n2), (a2, a1), (b2, b1), (n2, n1)))
-    swap = _lex_less((b2, a2), (b1, a1))
-    mirror = tuple(np.where(swap, w, v) for v, w in
-                   ((b1, b2), (a1, a2), (n1, n2), (b2, b1), (a2, a1), (n2, n1)))
-    use = _lex_less((mirror[0], mirror[1], mirror[3], mirror[4]), (a1, b1, a2, b2))
-    return tuple(np.where(use, m, v) for m, v in zip(mirror, (a1, b1, n1, a2, b2, n2)))
-
-
-def _lex_less(xs: tuple[np.ndarray, ...], ys: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Elementwise lexicographic xs < ys."""
-    less = np.zeros(xs[0].shape, dtype=bool)
-    equal = np.ones(xs[0].shape, dtype=bool)
-    for x, y in zip(xs, ys):
-        less |= equal & (x < y)
-        equal &= x == y
-    return less
-
-
-def _newton_array(u: np.ndarray, da: np.ndarray, db: np.ndarray, dc: np.ndarray) -> np.ndarray:
-    """:func:`_newton` elementwise from each start in `u`; a start that is not finite is returned as is."""
-    out = u.copy()
-    done = ~np.isfinite(u)
-    u = np.where(done, 0.0, u)
-    direction = np.zeros_like(u)
-    for _ in range(_NEWTON_STEPS):
-        if done.all():
-            return out
-        value, slope = _log_ratio_array(u, da, db, dc)
-        step = value / slope
-        here = ~done & ((value == 0.0) | (slope == 0.0) | (direction * step < 0.0))
-        u_next = u - step
-        after = ~done & ~here & (np.abs(step) <= _NEWTON_TOL * np.maximum(1.0, np.abs(u)))
-        np.copyto(out, u, where=here)
-        np.copyto(out, u_next, where=after)
-        done |= here | after
-        u = np.where(done, u, u_next)
-        direction = step
-    da, db, dc = (np.broadcast_to(v, done.shape)[~done][0] for v in (da, db, dc))
-    raise NumericsError(f"crossing search did not converge for da={da}, db={db}, dc={dc}")
-
-
-def _log_ratio_array(u: np.ndarray, da: np.ndarray, db: np.ndarray, dc: np.ndarray):
-    """:func:`_log_ratio` elementwise."""
-    sp_pos, sp_neg = _softplus_pair_array(u)
-    return dc - da * sp_neg - db * sp_pos, da * np.exp(-sp_pos) - db * np.exp(-sp_neg)
-
-
-def _miss(u: np.ndarray, da: np.ndarray, db: np.ndarray, dc: np.ndarray) -> np.ndarray:
-    """|d(u)|, or inf where u is not finite."""
-    finite = np.isfinite(u)
-    return np.where(finite, np.abs(_log_ratio_array(np.where(finite, u, 0.0), da, db, dc)[0]), np.inf)
-
-
-def _softplus_pair_array(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    shared = np.log1p(np.exp(-np.abs(u)))
-    return np.maximum(u, 0.0) + shared, np.maximum(-u, 0.0) + shared
-
-
-def _tails_array(u: np.ndarray, a: np.ndarray, b: np.ndarray, log_norm: np.ndarray):
-    """:func:`_tails` elementwise: (lower, upper) arrays."""
-    sp_pos, sp_neg = _softplus_pair_array(u)
-    x, y = np.exp(-sp_neg), np.exp(-sp_pos)
-    front = np.exp(-a * sp_neg - b * sp_pos - log_norm)
-    near = x < (a + 1.0) / (a + b + 2.0)
-    p = np.where(near, a, b)
-    direct = front * _beta_cont_frac_array(p, np.where(near, b, a), np.where(near, x, y)) / p
-    return np.where(near, direct, 1.0 - direct), np.where(near, 1.0 - direct, direct)
-
-
 def overlap_grid(p: BetaParams, q: BetaParams, step: float = 0.001) -> float:
     """Left Riemann sum of min(p, q) over the step grid inside (0, 1).
 
@@ -342,11 +221,9 @@ def overlap_grid(p: BetaParams, q: BetaParams, step: float = 0.001) -> float:
     outside.
     """
     step = _check_step(step)
-    log_t, log_1mt = _grid_logs(step)
-    lp = _log_pdf_on_grid(p, log_t, log_1mt)
-    lq = _log_pdf_on_grid(q, log_t, log_1mt)
-    total = float(np.exp(np.minimum(lp, lq)).sum()) * step
-    return min(1.0, max(0.0, total))
+    from . import _arrays  # numpy is imported on the first grid call
+
+    return min(1.0, max(0.0, _arrays.grid_overlap(p, q, step)))
 
 
 def _check_step(step: float) -> float:
@@ -357,22 +234,6 @@ def _check_step(step: float) -> float:
     return step
 
 
-@lru_cache(maxsize=8)
-def _grid_logs(step: float) -> tuple[np.ndarray, np.ndarray]:
-    """log(theta) and log1p(-theta) over the interior step grid, cached per step."""
-    pts = np.arange(0.0, 1.0, step)[1:]
-    pts = pts[(pts > 0.0) & (pts < 1.0)]
-    log_t = np.log(pts)
-    log_1mt = np.log1p(-pts)
-    log_t.setflags(write=False)
-    log_1mt.setflags(write=False)
-    return log_t, log_1mt
-
-
-def _log_pdf_on_grid(params: BetaParams, log_t: np.ndarray, log_1mt: np.ndarray) -> np.ndarray:
-    return (params.alpha - 1.0) * log_t + (params.beta - 1.0) * log_1mt - params.log_norm
-
-
 def density_curve(params: BetaParams, grid_step: float) -> tuple[list[float], list[float]]:
     """Density values, as Python floats, at the round(1/step) midpoints (m + 0.5) * step.
 
@@ -380,8 +241,6 @@ def density_curve(params: BetaParams, grid_step: float) -> tuple[list[float], li
     one diverges, and cover the interval evenly.
     """
     grid_step = _check_step(grid_step)
-    count = int(math.floor(1.0 / grid_step - 0.5)) + 1
-    thetas = (np.arange(count) + 0.5) * grid_step
-    thetas = thetas[thetas < 1.0]
-    densities = np.exp(_log_pdf_on_grid(params, np.log(thetas), np.log1p(-thetas)))
-    return thetas.tolist(), densities.tolist()
+    from . import _arrays  # numpy is imported on the first curve
+
+    return _arrays.density_points(params, grid_step)

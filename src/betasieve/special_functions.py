@@ -11,17 +11,15 @@ accurate to a few ulp over the whole positive axis.  beta_cdf evaluates
 the regularized incomplete beta function with the standard continued
 fraction (modified Lentz iteration), switching to the complementary
 argument at x > (a+1)/(a+b+2) so the fraction always converges fast;
-``_beta_tails`` gives the scalar overlap evaluator both tails at once,
-and ``_beta_cont_frac_array`` runs the fraction over numpy arrays for the
-array evaluator.
+``_beta_tails`` gives the scalar overlap evaluator both tails at once.
+The fraction's array form, for the array evaluator, is
+``_arrays._beta_cont_frac_array``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NumericsError
 
@@ -181,59 +179,3 @@ def _beta_cont_frac(a: float, b: float, x: float, max_iter: int = 10000, eps: fl
     raise NumericsError(
         f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
     )
-
-
-def _beta_cont_frac_array(
-    a: np.ndarray, b: np.ndarray, x: np.ndarray, max_iter: int = 10000, eps: float = 3e-16
-) -> np.ndarray:
-    """:func:`_beta_cont_frac` elementwise over float64 arrays, bit for bit.
-
-    An element that converges is frozen by setting its x to 0, which makes
-    every later step multiply its value by exactly 1.  Once at most half
-    the elements are still moving, the arrays shrink to the next power of
-    two above that count, so a call makes arrays of few distinct lengths
-    (numpy keeps freed small buffers per length).
-    """
-    tiny = 1e-300
-    out = np.empty_like(x)
-    where = np.arange(x.size)
-    x = x.copy()
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
-    d = _lentz_floor(1.0 - qab * x / qap, tiny)
-    d = 1.0 / d
-    h = d.copy()
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        # even step
-        numer = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 / _lentz_floor(1.0 + numer * d, tiny)
-        c = _lentz_floor(1.0 + numer / c, tiny)
-        h *= d * c
-        # odd step
-        numer = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 / _lentz_floor(1.0 + numer * d, tiny)
-        c = _lentz_floor(1.0 + numer / c, tiny)
-        delta = d * c
-        h *= delta
-        done = np.abs(delta - 1.0) < eps
-        moving = done.size - int(np.count_nonzero(done))
-        if not moving:
-            out[where] = h
-            return out
-        x[done] = 0.0
-        if moving <= done.size // 2:
-            out[where] = h
-            keep = np.argsort(done, kind="stable")[: 1 << (moving - 1).bit_length()]
-            where, a, b, x, qab, qap, qam, c, d, h = (
-                v[keep] for v in (where, a, b, x, qab, qap, qam, c, d, h))
-    raise NumericsError(
-        f"incomplete beta continued fraction did not converge for a={a[0]}, b={b[0]}, x={x[0]}"
-    )
-
-
-def _lentz_floor(v: np.ndarray, tiny: float) -> np.ndarray:
-    v[np.abs(v) < tiny] = tiny
-    return v

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from betasieve import detection
+from betasieve import _arrays, detection
 from betasieve.detection import (
     Checklist,
     build_checklist,
@@ -67,16 +67,17 @@ class TestPairwisePaths:
     def test_path_follows_pair_count(self, monkeypatch, k, path):
         calls = []
 
-        def counted(name):
-            real = getattr(detection, name)
+        def counted(module, name):
+            real = getattr(module, name)
 
             def wrapper(*args):
                 calls.append(name)
                 return real(*args)
             return wrapper
 
-        for name in ("overlap_exact", "_overlap_exact_pairs"):
-            monkeypatch.setattr(detection, name, counted(name))
+        # each is patched where the pairwise loop looks it up
+        for module, name in ((detection, "overlap_exact"), (_arrays, "_overlap_exact_pairs")):
+            monkeypatch.setattr(module, name, counted(module, name))
         events, trials = random_count_sets(11, 1, k_range=(k, k))[0]
         similarity_list(make_set(events, trials))
         pairs = k * (k - 1) // 2

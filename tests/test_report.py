@@ -43,18 +43,32 @@ SCHEMA_OBJECTS = {
     ("detection", "trace", 0, "checklist_counts"): "round 0 checklist_counts",
     ("pooled",): "pooled",
 }
+# Every array the report schema defines, by the same paths, and its place.
+SCHEMA_ARRAYS = {
+    ("observations",): "observations",
+    ("posteriors",): "posteriors",
+    ("similarities",): "similarities",
+    ("detection", "kept"): "detection.kept",
+    ("detection", "outliers"): "detection.outliers",
+    ("detection", "warnings"): "detection.warnings",
+    ("detection", "trace"): "detection.trace",
+    ("detection", "trace", 0, "surviving"): "round 0 surviving",
+    ("detection", "trace", 0, "checklist"): "round 0 checklist",
+    ("warnings",): "warnings",
+}
 
 
-def _object_schemas(schema, path=()):
-    """{path: object schema} for every object under `schema`, arrays entered at item 0."""
+def _schemas(schema, kind, path=()):
+    """{path: schema} for every `kind` ("object" or "array") under `schema`, arrays entered at item 0."""
     found = {}
     for option in schema.get("oneOf", [schema]):
-        if option.get("type") == "object":
+        if option.get("type") == kind:
             found[path] = option
+        if option.get("type") == "object":
             for name, sub in option.get("properties", {}).items():
-                found.update(_object_schemas(sub, path + (name,)))
+                found.update(_schemas(sub, kind, path + (name,)))
         elif option.get("type") == "array":
-            found.update(_object_schemas(option["items"], path + (0,)))
+            found.update(_schemas(option["items"], kind, path + (0,)))
     return found
 
 
@@ -192,7 +206,7 @@ class TestSerialization:
     def test_every_schema_object_is_checked(self, path, place):
         """A required field dropped, an unknown one added, or a list in the object's place."""
         edits = [(lambda obj, key, name=name: obj[key].pop(name), "")
-                 for name in _object_schemas(report_schema())[path].get("required", [])]
+                 for name in _schemas(report_schema(), "object")[path].get("required", [])]
         edits += [(lambda obj, key: obj[key].__setitem__("extra", 1), "unknown fields: extra$"),
                   (lambda obj, key: obj.__setitem__(key, []), "must be an object$")]
         data = _report(*MIXED, pooled=True).to_dict()
@@ -206,7 +220,23 @@ class TestSerialization:
                 Report.from_dict(box[0])
 
     def test_schema_objects_are_all_listed(self):
-        assert set(_object_schemas(report_schema())) == set(SCHEMA_OBJECTS)
+        assert set(_schemas(report_schema(), "object")) == set(SCHEMA_OBJECTS)
+
+    @pytest.mark.parametrize("path, place", SCHEMA_ARRAYS.items(), ids=[
+        "/".join(map(str, path)) for path in SCHEMA_ARRAYS])
+    def test_every_schema_array_is_checked(self, path, place):
+        """A scalar in an array's place is named, not a TypeError from iterating it."""
+        data = _report(*MIXED, pooled=True).to_dict()
+        *parents, last = path
+        holder = data
+        for key in parents:
+            holder = holder[key]
+        holder[last] = 5
+        with pytest.raises(InputFormatError, match=f"^{re.escape(place)}: must be an array$"):
+            Report.from_dict(data)
+
+    def test_schema_arrays_are_all_listed(self):
+        assert set(_schemas(report_schema(), "array")) == set(SCHEMA_ARRAYS)
 
     def test_dict_carries_labels_in_similarities(self):
         entry = _report(*MIXED).to_dict()["similarities"][0]

@@ -8,11 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta as scipy_beta
 
-from betasieve import similarity, special_functions
+from betasieve import _arrays, similarity, special_functions
+from betasieve._arrays import _overlap_exact_pairs
 from betasieve.similarity import (
     DegeneratePairError,
     PairSimilarity,
-    _overlap_exact_pairs,
     crossing_points,
     density_curve,
     overlap_exact,
@@ -310,6 +310,26 @@ class TestOverlapGrid:
     def test_clamped_to_unit_interval(self):
         v = overlap_grid(BetaParams(1, 1), BetaParams(1.0000001, 1), 0.01)
         assert 0.0 <= v <= 1.0
+
+    @pytest.mark.parametrize("p, q, masked", [
+        ((16, 16), (12, 10), "none"),
+        ((5001, 5001), (4801, 5201), "some"),
+        ((30001, 70001), (33001, 67001), "some"),
+        ((201, 801), (801, 201), "some"),
+        ((0.5, 3), (90001, 10001), "some"),
+        ((2001, 8001), (8001, 2001), "all"),
+    ])
+    @pytest.mark.parametrize("step", [1e-2, 1e-3, 1e-4])
+    def test_masked_sum_bit_identical(self, p, q, masked, step):
+        # the grid sum skips exp where it is exactly 0.0; the plain sum is the reference
+        p, q = BetaParams(*p), BetaParams(*q)
+        log_t, log_1mt = _arrays._grid_logs(step)
+        low = np.minimum(_arrays._log_pdf_on_grid(p, log_t, log_1mt), _arrays._log_pdf_on_grid(q, log_t, log_1mt))
+        underflow = low < -746.0
+        assert masked == ("all" if underflow.all() else "some" if underflow.any() else "none")
+        plain = float(np.exp(low).sum()) * step
+        assert repr(_arrays.grid_overlap(p, q, step)) == repr(plain)
+        assert overlap_grid(p, q, step) == min(1.0, max(0.0, plain))
 
 
 class TestDensityCurve:

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betasieve._arrays import _beta_cont_frac_array
 from betasieve.errors import NumericsError
 from betasieve.special_functions import (
     BetaParams,
     _beta_cont_frac,
-    _beta_cont_frac_array,
     beta_cdf,
     log_beta,
     log_beta_pdf,
