@@ -2,31 +2,29 @@
 
 A report round-trips losslessly through JSON (``to_dict``/``from_dict``)
 and the JSON shape is pinned by ``schemas/report.schema.json`` shipped
-with the package.  ``from_dict`` trusts none of it: each object of the
-report must be an object with no unknown and no missing field, each
-array an array, the posteriors must be those of the observations, the
-similarities must hold each pair once and name its two observations, and
-every label that the detection block or a round names must be an
-observation's (a round's removal one of its survivors, its counts keyed
-by exactly those).  Any other input raises :class:`InputFormatError` naming the place, such as
-``cohesion`` or ``round 2 checklist entry 0``.
+with the package.  ``from_dict`` trusts none of it.  It reads the inputs
+(header, observations, similarities, warnings) for their structure, rebuilds
+the report from them as a detection run would, and requires the rebuilt
+report to equal the given one.  The first difference raises
+:class:`InputFormatError` naming its place, such as ``cohesion min`` or
+``round 2 checklist entry 0``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from operator import index
 from statistics import median
 from typing import Sequence
 
 from . import __version__
-from .detection import Checklist, DetectionOutcome, IterationTrace, _check_pairs
+from .detection import DetectionOutcome, detect
 from .errors import InputFormatError, ValidationError, _check_list, _check_object
 from .formats import observation_from_dict, observation_to_dict
-from .posterior import Observation, ObservationSet, posterior_of
-from .similarity import PairSimilarity
+from .posterior import Observation, ObservationSet, validate_set
+from .similarity import PairSimilarity, _check_step
 from .special_functions import BetaParams
 
 __all__ = [
@@ -40,6 +38,7 @@ __all__ = [
 ]
 
 POOLING_NOTE = "assumes the kept observations are exchangeable"
+POOLING_OMITTED = "pooled posterior omitted: the set is fragmented"
 
 
 @dataclass(frozen=True)
@@ -128,75 +127,65 @@ class Report:
 
     @classmethod
     def from_dict(cls, data: object) -> "Report":
-        tool_version, method, grid_step, rows, given, entries, cohesion, det, pooled, warnings = _check_object(
+        tool_version, method, grid_step, rows, _, entries, _, _, pooled, warnings = _check_object(
             data, "report", ("tool_version", "method", "grid_step", "observations", "posteriors",
                              "similarities", "cohesion", "detection", "pooled", "warnings"))
-        for value, where in (rows, "observations"), (given, "posteriors"), (entries, "similarities"), (warnings, "warnings"):
+        for value, where in (rows, "observations"), (entries, "similarities"), (warnings, "warnings"):
             _check_list(value, where)
-        observations = tuple(observation_from_dict(o, pos) for pos, o in enumerate(rows))
-        labels = [o.label for o in observations]
-        posteriors = tuple(posterior_of(o) for o in observations)
-        if len(given) != len(posteriors):
-            raise InputFormatError(f"{len(given)} posterior entries for {len(posteriors)} observations")
-        for pos, (entry, obs, post) in enumerate(zip(given, observations, posteriors)):
-            if _check_object(entry, f"posterior entry {pos}", ("label", "alpha", "beta")) != [obs.label, post.alpha, post.beta]:
-                raise InputFormatError(
-                    f"posterior entry {pos}: {entry['label']!r} Beta({entry['alpha']!r}, {entry['beta']!r}) "
-                    f"does not match observation {obs.label!r}, whose posterior is {post}")
-        similarities = tuple(
-            _pair(s, f"similarity entry {pos}", ("i", "j", "label_i", "label_j", "value")) for pos, s in enumerate(entries))
+        if not isinstance(tool_version, str):
+            raise InputFormatError(f"tool_version: must be a string, got {tool_version!r}")
+        if method not in ("exact", "grid"):
+            raise InputFormatError(f"method: must be 'exact' or 'grid', got {method!r}")
+        if method == "grid":
+            try:
+                grid_step = _check_step(grid_step)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InputFormatError(f"grid_step: {exc}") from exc
+        observations = [observation_from_dict(o, pos) for pos, o in enumerate(rows)]
+        similarities = [_pair(s, f"similarity entry {pos}") for pos, s in enumerate(entries)]
         try:
-            _check_pairs(similarities, len(labels))
+            obs_set = validate_set(observations, allow_duplicates=True)
+        except ValidationError as exc:
+            raise InputFormatError(f"observations: {exc}") from exc
+        try:
+            outcome = detect(obs_set, pairs=similarities)
         except ValueError as exc:
             raise InputFormatError(f"similarities: {exc}") from exc
-        for pos, (entry, ps) in enumerate(zip(entries, similarities)):
-            if [entry["label_i"], entry["label_j"]] != [labels[ps.i], labels[ps.j]]:
-                raise InputFormatError(f"similarity entry {pos}: labels {entry['label_i']!r}, {entry['label_j']!r} "
-                                       f"do not match observations {labels[ps.i]!r}, {labels[ps.j]!r}")
-        fragmented, kept, outliers, trace, det_warnings = _check_object(
-            det, "detection", ("fragmented", "kept", "outliers", "trace", "warnings"))
-        _check_list(trace, "detection.trace")
-        _check_list(det_warnings, "detection.warnings")
-        by_label = {o.label: o for o in observations}
-        outcome = DetectionOutcome(
-            kept=_labelled(kept, by_label, "detection.kept"),
-            outliers=_labelled(outliers, by_label, "detection.outliers"),
-            fragmented=fragmented,
-            trace=tuple(_round(r, f"round {n}", by_label) for n, r in enumerate(trace)),
-            warnings=tuple(det_warnings),
-        )
-        cohesion = CohesionSummary(*_check_object(cohesion, "cohesion", ("min", "median", "max")))
-        if pooled is not None:
-            pooled = PooledPosterior(*_check_object(pooled, "pooled", ("alpha", "beta", "note")))
-        return cls(tool_version, method, grid_step, observations, posteriors, similarities, cohesion, outcome,
-                   pooled, tuple(warnings))
+        pooled_requested = pooled is not None or POOLING_OMITTED in warnings
+        rebuilt = replace(build_report(obs_set, outcome, similarities, method, grid_step, pooled_requested),
+                          tool_version=tool_version)
+        _compare(data, rebuilt.to_dict(), "report")
+        return rebuilt
 
 
-def _labelled(labels: Sequence[str], by_label: dict[str, Observation], where: str) -> tuple[Observation, ...]:
-    for pos, label in enumerate(_check_list(labels, where)):
-        if not isinstance(label, str) or label not in by_label:
-            raise InputFormatError(f"{where} entry {pos}: unknown label {label!r}")
-    return tuple(by_label[label] for label in labels)
-
-
-def _pair(entry: object, where: str, names: tuple[str, ...] = ("i", "j", "value")) -> PairSimilarity:
-    i, j, *_, value = _check_object(entry, where, names)
+def _pair(entry: object, where: str) -> PairSimilarity:
+    i, j, value = _check_object(entry, where, ("i", "j", "value"), ("label_i", "label_j"))
     try:
         return PairSimilarity(index(i), index(j), value)
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"{where}: {exc}") from exc
 
 
-def _round(entry: object, where: str, by_label: dict[str, Observation]) -> IterationTrace:
-    surviving, checklist, counts, removed = _check_object(
-        entry, where, ("surviving", "checklist", "checklist_counts", "removed"))
-    surviving = tuple(o.label for o in _labelled(surviving, by_label, f"{where} surviving"))
-    if removed is not None and removed not in surviving:
-        raise InputFormatError(f"{where}: removed label {removed!r} is not among the survivors")
-    checklist = _check_list(checklist, f"{where} checklist")
-    checklist = Checklist(tuple(_pair(e, f"{where} checklist entry {pos}") for pos, e in enumerate(checklist)))
-    counts = dict(zip(surviving, _check_object(counts, f"{where} checklist_counts", surviving)))
-    return IterationTrace(surviving, checklist, counts, removed)
+# How a place names what it holds, where not as "<place> <field>" or "<place> entry <n>".
+_CHILD_PREFIX = {"report": "", "detection": "detection.", "observations": "entry ", "posteriors": "posterior entry ",
+                 "similarities": "similarity entry ", "detection.trace": "round "}
+
+
+def _compare(given: object, expected: object, where: str) -> None:
+    """Raise InputFormatError at the first place where `given` differs from `expected`."""
+    if isinstance(expected, dict):
+        prefix = _CHILD_PREFIX.get(where, f"{where} ")
+        for (name, want), got in zip(expected.items(), _check_object(given, where, tuple(expected))):
+            _compare(got, want, prefix + name)
+    elif isinstance(expected, list):
+        if len(_check_list(given, where)) != len(expected):
+            raise InputFormatError(f"{where}: length {len(given)} where the evidence gives {len(expected)}")
+        prefix = _CHILD_PREFIX.get(where, f"{where} entry ")
+        for pos, (got, want) in enumerate(zip(given, expected)):
+            _compare(got, want, f"{prefix}{pos}")
+    elif given != expected or isinstance(given, bool) != isinstance(expected, bool):
+        # a bool is no number here: JSON keeps them apart, and False == 0 in Python
+        raise InputFormatError(f"{where}: {given!r} where the evidence gives {expected!r}")
 
 
 def cohesion_summary(similarities: Sequence[PairSimilarity]) -> CohesionSummary:
@@ -227,7 +216,7 @@ def build_report(
     pooled = None
     if pooled_requested:
         if outcome.fragmented:
-            warnings.append("pooled posterior omitted: the set is fragmented")
+            warnings.append(POOLING_OMITTED)
         else:
             pooled = pooled_posterior(outcome.kept)
     return Report(

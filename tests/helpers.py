@@ -6,7 +6,7 @@ from betasieve.posterior import Observation, validate_set
 
 def count_posterior_calls(monkeypatch):
     """Count posterior_of calls, in every module that binds the name; returns the labels seen."""
-    from betasieve import cli, detection, posterior, report, synth
+    from betasieve import cli, detection, posterior, synth
 
     calls = []
     real = posterior.posterior_of
@@ -15,7 +15,7 @@ def count_posterior_calls(monkeypatch):
         calls.append(observation.label)
         return real(observation)
 
-    for module in (posterior, detection, report, cli, synth):
+    for module in (posterior, detection, cli, synth):
         monkeypatch.setattr(module, "posterior_of", counting, raising=False)
     return calls
 

@@ -2,6 +2,7 @@
 import copy
 import json
 import re
+from pathlib import Path
 from statistics import median
 
 import jsonschema
@@ -28,6 +29,7 @@ MIXED = ([15, 11, 7, 29, 100], [30, 20, 15, 60, 200])
 PLANTED = ([50, 51, 49, 50, 180], [100, 100, 100, 100, 200])
 CONCORDANT = ([50, 49, 51, 50, 48], [100, 100, 100, 100, 100])
 FRAGMENTED = ([50, 51, 49, 95], [100, 100, 100, 100])
+GOLDEN = Path(__file__).parent / "data" / "reports"
 
 # Every object the report schema defines, by its path in a report (0 for an
 # array's first item), and the place an error on it names.
@@ -70,6 +72,27 @@ def _schemas(schema, kind, path=()):
         elif option.get("type") == "array":
             found.update(_schemas(option["items"], kind, path + (0,)))
     return found
+
+
+def _leaves(node, path=()):
+    """(path, value) of every scalar in a JSON value."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, child in items for leaf in _leaves(child, path + (key,))]
+    return [(path, node)]
+
+
+def _edits(value):
+    """Another value of the leaf's type, then a value of another type."""
+    if isinstance(value, bool):
+        return [not value, int(value)]
+    if isinstance(value, int):
+        return [value + 1, str(value)]
+    if isinstance(value, float):
+        return [value / 2, str(value)]
+    if isinstance(value, str):
+        return [value + "x", 5]
+    return ["x", 0]  # null
 
 
 def _report(events, trials, method="exact", grid_step=0.001, pooled=False, allow=False):
@@ -148,19 +171,19 @@ class TestSerialization:
     def test_malformed_observation_cites_entry(self, entry, message):
         data = json.loads(_report(*MIXED).to_json())
         data["observations"][2] = entry
-        with pytest.raises(InputFormatError, match=re.escape(message)):
+        with pytest.raises(InputFormatError, match="^" + re.escape(message)):
             Report.from_dict(data)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["posteriors"].__setitem__(0, {"label": "s0", "alpha": 99.0, "beta": 2.0}),
-         "posterior entry 0: 's0' Beta(99.0, 2.0) does not match observation 's0', whose posterior is "
-         "BetaParams(alpha=16.0, beta=16.0)"),
+         "posterior entry 0 alpha: 99.0 where the evidence gives 16.0"),
         (lambda d: d["posteriors"][1].__setitem__("label", "s4"),
-         "posterior entry 1: 's4' Beta(12.0, 10.0) does not match observation 's1'"),
-        (lambda d: d["posteriors"].pop(), "4 posterior entries for 5 observations"),
+         "posterior entry 1 label: 's4' where the evidence gives 's1'"),
+        (lambda d: d["posteriors"].pop(), "posteriors: length 4 where the evidence gives 5"),
         (lambda d: d["posteriors"][3].pop("beta"), "posterior entry 3: missing fields: beta"),
-        (lambda d: d["detection"]["kept"].__setitem__(1, "zz"), "detection.kept entry 1: unknown label 'zz'"),
-        (lambda d: d["detection"]["outliers"].append("zz"), "detection.outliers entry 0: unknown label 'zz'"),
+        (lambda d: d["detection"]["kept"].__setitem__(1, "zz"),
+         "detection.kept entry 1: 'zz' where the evidence gives 's1'"),
+        (lambda d: d["detection"]["outliers"].append("zz"), "detection.outliers: length 1 where the evidence gives 0"),
         (lambda d: d["similarities"][3].pop("value"), "similarity entry 3: missing fields: value"),
         (lambda d: d["similarities"][3].__setitem__("value", 1.5), "similarity entry 3: similarity must lie in [0, 1]"),
         (lambda d: d["detection"]["trace"][0]["checklist"][2].pop("j"),
@@ -171,9 +194,9 @@ class TestSerialization:
         pytest.param(lambda d: d.pop("tool_version"), "report: missing fields: tool_version",
                      id="no-tool-version"),
         pytest.param(lambda d: d["detection"]["trace"][0]["surviving"].__setitem__(2, "zz"),
-                     "round 0 surviving entry 2: unknown label 'zz'", id="round-unknown-survivor"),
+                     "round 0 surviving entry 2: 'zz' where the evidence gives 's2'", id="round-unknown-survivor"),
         pytest.param(lambda d: d["detection"]["trace"][0].__setitem__("removed", "zz"),
-                     "round 0: removed label 'zz' is not among the survivors", id="round-unknown-removal"),
+                     "round 0 removed: 'zz' where the evidence gives None", id="round-unknown-removal"),
         pytest.param(lambda d: d["detection"]["trace"][0]["checklist_counts"].__setitem__("zz", 0),
                      "round 0 checklist_counts: unknown fields: zz", id="round-unknown-count"),
         pytest.param(lambda d: d["similarities"].__setitem__(1, dict(d["similarities"][0])),
@@ -183,8 +206,7 @@ class TestSerialization:
                      "similarities: pair list of length 9 does not match a set of 5 observations",
                      id="missing-pair"),
         pytest.param(lambda d: d["similarities"][3].__setitem__("label_i", "s2"),
-                     "similarity entry 3: labels 's2', 's4' do not match observations 's0', 's4'",
-                     id="wrong-label-i"),
+                     "similarity entry 3 label_i: 's2' where the evidence gives 's0'", id="wrong-label-i"),
         pytest.param(lambda d: d["similarities"][9].__setitem__("j", 7),
                      "similarities: pair list of length 10 does not match a set of 5 observations",
                      id="j-out-of-range"),
@@ -192,14 +214,76 @@ class TestSerialization:
                      "similarity entry 0: 'float' object cannot be interpreted as an integer",
                      id="float-index"),
         pytest.param(lambda d: d["detection"]["kept"].__setitem__(0, ["s0"]),
-                     "detection.kept entry 0: unknown label ['s0']", id="unhashable-label"),
+                     "detection.kept entry 0: ['s0'] where the evidence gives 's0'", id="unhashable-label"),
+        pytest.param(lambda d: d.__setitem__("method", "foo"), "method: must be 'exact' or 'grid', got 'foo'",
+                     id="unknown-method"),
+        pytest.param(lambda d: d.update(method="grid", grid_step=0.5),
+                     "grid_step: step must lie in (0, 0.01], got 0.5", id="grid-step-too-large"),
+        pytest.param(lambda d: d.update(method="grid", grid_step=-1),
+                     "grid_step: step must lie in (0, 0.01], got -1.0", id="grid-step-negative"),
+        pytest.param(lambda d: d.update(method="grid", grid_step="0.001"),
+                     "grid_step: '0.001' where the evidence gives 0.001", id="grid-step-string"),
+        pytest.param(lambda d: d.__setitem__("grid_step", 0.001),
+                     "grid_step: 0.001 where the evidence gives None", id="exact-with-grid-step"),
+        pytest.param(lambda d: d.__setitem__("tool_version", 5), "tool_version: must be a string, got 5",
+                     id="tool-version-not-string"),
+        pytest.param(lambda d: d["cohesion"].__setitem__("min", 0.99),
+                     "cohesion min: 0.99 where the evidence gives 0.45", id="cohesion-min"),
+        pytest.param(lambda d: d["detection"]["trace"][0]["checklist"][0].__setitem__("j", 9),
+                     "round 0 checklist entry 0 j: 9 where the evidence gives 4", id="checklist-pair-0-9"),
+        pytest.param(lambda d: d["detection"]["kept"].__setitem__(1, "s0"),
+                     "detection.kept entry 1: 's0' where the evidence gives 's1'", id="kept-twice"),
+        pytest.param(lambda d: d.__setitem__("warnings", [5, None]),
+                     "warnings: length 2 where the evidence gives 0", id="warnings-not-strings"),
+        pytest.param(lambda d: d["detection"].__setitem__("fragmented", "yes"),
+                     "detection.fragmented: 'yes' where the evidence gives False", id="fragmented-string"),
+        pytest.param(lambda d: d["detection"].__setitem__("fragmented", 0),
+                     "detection.fragmented: 0 where the evidence gives False", id="fragmented-number"),
+        pytest.param(lambda d: d["detection"].__setitem__("warnings", [{}]),
+                     "detection.warnings: length 1 where the evidence gives 0", id="detection-warning-object"),
+        pytest.param(lambda d: d["pooled"].__setitem__("alpha", 99.0),
+                     "pooled alpha: 99.0 where the evidence gives 163.0", id="pooled-alpha"),
+        pytest.param(lambda d: d["observations"][1].__setitem__("label", "s0"),
+                     "observations: labels must be unique within a set; 's0' appears more than once",
+                     id="duplicate-label"),
+        pytest.param(lambda d: d.update(observations=d["observations"][:3], similarities=d["similarities"][:3]),
+                     "observations: need at least 4 observations, got 3", id="too-few-observations"),
     ])
     def test_malformed_report_cites_entry(self, edit, message):
         # the same check as the observation entries above, for the rest of the report
         data = json.loads(_report(*MIXED, pooled=True).to_json())
         edit(data)
-        with pytest.raises(InputFormatError, match=re.escape(message)):
+        with pytest.raises(InputFormatError, match="^" + re.escape(message)):
             Report.from_dict(data)
+
+    def test_every_leaf_is_checked(self):
+        """Each value of a report, changed or retyped, is named, except those no loader can check."""
+        report = json.loads((GOLDEN / "mixed_scales.csv.exact.json").read_text(encoding="utf-8"))["report"]
+        assert report["pooled"] is not None
+        # Without recomputing the overlaps, a similarity outside every checklist
+        # that sets no cohesion figure could take any value, and so could the
+        # tool version: such a change leaves the report self-consistent.
+        checklisted = {(e["i"], e["j"]) for rnd in report["detection"]["trace"] for e in rnd["checklist"]}
+        values = sorted(s["value"] for s in report["similarities"])
+        cohesion = {values[0], values[(len(values) - 1) // 2], values[len(values) // 2], values[-1]}
+        free = {("tool_version",)} | {
+            ("similarities", pos, "value") for pos, s in enumerate(report["similarities"])
+            if (s["i"], s["j"]) not in checklisted and s["value"] not in cohesion}
+        leaves = [(path, value) for path, value in _leaves(report) if path not in free]
+        assert len(leaves) == len(_leaves(report)) - 4
+        for path, value in leaves:
+            for new in _edits(value):
+                data = copy.deepcopy(report)
+                holder = data
+                for key in path[:-1]:
+                    holder = holder[key]
+                holder[path[-1]] = new
+                try:
+                    Report.from_dict(data)
+                except InputFormatError as exc:
+                    assert re.match(r"[a-z_.]+( [a-z_]+| \d+)*: ", str(exc)), (path, new, str(exc))
+                else:
+                    pytest.fail(f"{path} set to {new!r} loads")
 
     @pytest.mark.parametrize("path, place", SCHEMA_OBJECTS.items(), ids=[
         "/".join(map(str, path)) or "report" for path in SCHEMA_OBJECTS])
