@@ -18,7 +18,7 @@ import click
 from . import __version__
 from .detection import DetectionOutcome, detect as run_detection, similarity_list
 from .errors import ValidationError
-from .formats import read_campaign, read_observations, render_observations
+from .formats import detect_format, read_campaign, read_observations, render_observations
 from .posterior import ObservationSet
 from .report import build_report
 from .similarity import _check_step, density_curve
@@ -102,9 +102,7 @@ def synth_command(spec_path: Path, fmt: str | None, out_path: Path | None) -> No
     except ValidationError as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(2)
-    if fmt is None:
-        fmt = "json" if out_path is not None and str(out_path).lower().endswith(".json") else "csv"
-    text = render_observations(obs_set, fmt)
+    text = render_observations(obs_set, detect_format(out_path or "", fmt))
     if out_path is None:
         click.echo(text, nl=False)
     else:

@@ -23,6 +23,7 @@ says so.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import attrgetter
@@ -129,16 +130,15 @@ def build_checklist(pairs: Sequence[PairSimilarity], k: int) -> Checklist:
     Ties are broken by ascending (i, j) so the checklist is a pure
     function of the values.
     """
-    pairs = list(pairs)
-    _check_pairs(pairs, k)
-    pairs.sort(key=_RANK)
-    return Checklist(tuple(pairs[: k - 1]))
+    return Checklist(tuple(_ranked(pairs, k)[: k - 1]))
 
 
-def _check_pairs(pairs: Sequence[PairSimilarity], k: int) -> None:
-    """Reject a pair list that does not hold each (i, j), i < j < k, exactly once."""
-    if k < 2 or sorted((ps.i, ps.j) for ps in pairs) != list(combinations(range(k), 2)):
-        raise ValueError(f"pair list of length {len(pairs)} does not match a set of {k} observations")
+def _ranked(pairs: Sequence[PairSimilarity], k: int) -> list[PairSimilarity]:
+    """`pairs` in `_RANK` order; a list that does not hold each (i, j), i < j < k, exactly once raises."""
+    ranked = sorted(pairs, key=_RANK)
+    if k < 2 or sorted((ps.i, ps.j) for ps in ranked) != list(combinations(range(k), 2)):
+        raise ValueError(f"pair list of length {len(ranked)} does not match a set of {k} observations")
+    return ranked
 
 
 def checklist_count(label: str, checklist: Checklist, labels: Sequence[str]) -> int:
@@ -175,7 +175,7 @@ def find_outlier(
             raise ValueError("labels must be unique")
         posteriors = [posterior_of(o) for o in obs]
     labels = [o.label for o in obs]
-    ranked = sorted(_pairwise(posteriors, method, grid_step), key=_RANK)
+    ranked = _ranked(_pairwise(posteriors, method, grid_step), len(obs))
     nominee, _, _, _ = _screen_round(ranked, list(range(len(obs))), labels)
     return labels[nominee] if nominee is not None else None
 
@@ -206,16 +206,14 @@ def _screen_round(
             f"{pretty} was settled by index order"
         )
 
-    counts = {
-        labels[m]: sum(1 for ps in checklist.entries if ps.involves(m)) for m in members
-    }
+    tally = Counter(m for ps in checklist.entries for m in (ps.i, ps.j))
+    counts = {labels[m]: tally[m] for m in members}
 
     # Nominate only if some observation sits in *every* pair at or below the
     # boundary value; such a nominee dominates any tie-consistent checklist.
-    candidates = [m for m in members if all(ps.involves(m) for ps in eligible)]
-    if k >= 3 and len(candidates) > 1:
-        raise AssertionError("two observations cannot both sit in every least-similar pair")
-    nominee = candidates[0] if len(candidates) == 1 else None
+    # Two distinct pairs share at most one index, so only a lone pair leaves two.
+    common = set.intersection(*({ps.i, ps.j} for ps in eligible))
+    nominee = common.pop() if len(common) == 1 else None
     if nominee is None:
         stranded = [lab for lab, c in counts.items() if c == k - 1]
         if stranded:
@@ -244,21 +242,17 @@ def detect(
     """
     if pairs is None:
         pairs = similarity_list(obs_set, method=method, grid_step=grid_step)
-    else:
-        _check_pairs(pairs, obs_set.k)
-    ranked = sorted(pairs, key=_RANK)
+    ranked = _ranked(pairs, obs_set.k)
     labels = list(obs_set.labels)
     members = list(range(obs_set.k))
     removed: list[int] = []
     trace: list[IterationTrace] = []
     warnings = list(obs_set.warnings)
-    fragmented = False
 
     while True:
-        if len(members) == FRAGMENT_FLOOR:
-            fragmented = True
-            break
         nominee, checklist, counts, round_warnings = _screen_round(ranked, members, labels)
+        if len(members) == FRAGMENT_FLOOR:
+            break  # the floor round is not traced; its nominee only orders the tail
         warnings.extend(round_warnings)
         trace.append(
             IterationTrace(
@@ -274,21 +268,17 @@ def detect(
         removed.append(nominee)
         ranked = [ps for ps in ranked if not ps.involves(nominee)]
 
+    fragmented = len(members) == FRAGMENT_FLOOR
     if fragmented:
         # Order the last three by the cascade that would have consumed them:
-        # one more nomination among the three, then input order.
-        last_nominee, _, _, _ = _screen_round(ranked, members, labels)
-        tail = [m for m in members if m != last_nominee]
-        outlier_indices = removed + ([last_nominee] if last_nominee is not None else []) + tail
-        kept_indices: list[int] = []
-    else:
-        outlier_indices = removed
-        kept_indices = members
+        # the floor round's nominee, then input order (the sort is stable).
+        removed += sorted(members, key=lambda m: m != nominee)
+        members = []
 
     obs = obs_set.observations
     outcome = DetectionOutcome(
-        kept=tuple(obs[i] for i in kept_indices),
-        outliers=tuple(obs[i] for i in outlier_indices),
+        kept=tuple(obs[i] for i in members),
+        outliers=tuple(obs[i] for i in removed),
         fragmented=fragmented,
         trace=tuple(trace),
         warnings=tuple(warnings),

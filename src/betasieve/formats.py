@@ -8,7 +8,9 @@ Observation tables come in two interchangeable shapes:
 * JSON as an array of objects with the same field names.
 
 :func:`observation_to_dict` and :func:`observation_from_dict` are the one
-codec of such a row; the report's ``observations`` entries use it too.
+codec of such a row.  A CSV row is typed cell by cell, leaving empty prior
+cells out, and then decoded like a JSON row or a report's ``observations``
+entry, so one problem gets one message, prefixed by its place.
 
 ``parse_observations(render_observations(s)) == s`` for any valid set.
 """
@@ -95,11 +97,7 @@ def _parse_csv(text: str) -> list[Observation]:
     except StopIteration:
         raise InputFormatError("empty input: expected a CSV header row") from None
     header = [cell.strip() for cell in header]
-    if tuple(header) == _BASE_COLUMNS:
-        with_priors = False
-    elif tuple(header) == _BASE_COLUMNS + _PRIOR_COLUMNS:
-        with_priors = True
-    else:
+    if tuple(header) not in (_BASE_COLUMNS, _BASE_COLUMNS + _PRIOR_COLUMNS):
         raise InputFormatError(
             "line 1: expected header 'label,events,trials' or "
             f"'label,events,trials,prior_alpha,prior_beta', got {','.join(header)!r}"
@@ -109,51 +107,37 @@ def _parse_csv(text: str) -> list[Observation]:
         line = reader.line_num
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # blank line
-        expected = 5 if with_priors else 3
-        if len(row) != expected:
-            raise InputFormatError(f"line {line}: expected {expected} fields, got {len(row)}")
-        label = row[0].strip()
-        events = _parse_int(row[1], "events", line)
-        trials = _parse_int(row[2], "trials", line)
-        prior = UNIFORM_PRIOR
-        if with_priors:
-            prior = _parse_prior(row[3], row[4], line)
-        try:
-            observations.append(Observation(label=label, events=events, trials=trials, prior=prior))
-        except ValidationError as exc:
-            raise InputFormatError(f"line {line}: {exc}") from exc
+        if len(row) != len(header):
+            raise InputFormatError(f"line {line}: expected {len(header)} fields, got {len(row)}")
+        entry = {"label": row[0].strip(), "events": _parse_cell(row[1], "events", int, line),
+                 "trials": _parse_cell(row[2], "trials", int, line)}
+        for name, cell in zip(_PRIOR_COLUMNS, row[3:]):
+            if cell.strip():  # an empty prior cell means the uniform prior
+                entry[name] = _parse_cell(cell, name, float, line)
+        observations.append(observation_from_dict(entry, f"line {line}"))
     return observations
 
 
-def _parse_int(cell: str, field: str, line: int) -> int:
+def _parse_cell(cell: str, name: str, kind: type, line: int) -> int | float:
     try:
-        return int(cell.strip())
+        return kind(cell.strip())
     except ValueError:
-        raise InputFormatError(f"line {line}: {field} must be an integer, got {cell.strip()!r}") from None
-
-
-def _parse_prior(alpha_cell: str, beta_cell: str, line: int) -> BetaParams:
-    alpha_cell, beta_cell = alpha_cell.strip(), beta_cell.strip()
-    if not alpha_cell and not beta_cell:
-        return UNIFORM_PRIOR
-    if not alpha_cell or not beta_cell:
-        raise InputFormatError(
-            f"line {line}: prior_alpha and prior_beta must be given together"
-        )
-    try:
-        return BetaParams(float(alpha_cell), float(beta_cell))
-    except ValueError as exc:
-        raise InputFormatError(f"line {line}: {exc}") from exc
+        noun = "an integer" if kind is int else "a real number"
+        raise InputFormatError(f"line {line}: {name} must be {noun}, got {cell.strip()!r}") from None
 
 
 def _parse_json(text: str) -> list[Observation]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"not valid JSON: {exc}") from exc
+    data = _load_json(text)
     if not isinstance(data, list):
         raise InputFormatError(f"expected a JSON array of observations, got {type(data).__name__}")
-    return [observation_from_dict(entry, pos) for pos, entry in enumerate(data)]
+    return [observation_from_dict(entry, f"entry {pos}") for pos, entry in enumerate(data)]
+
+
+def _load_json(text: str) -> object:
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # malformed, or an integer past Python's digit limit
+        raise InputFormatError(f"not valid JSON: {exc}") from exc
 
 
 def observation_to_dict(obs: Observation) -> dict:
@@ -162,24 +146,20 @@ def observation_to_dict(obs: Observation) -> dict:
     return dict(zip(_BASE_COLUMNS + _PRIOR_COLUMNS, values))
 
 
-def observation_from_dict(entry: object, pos: int) -> Observation:
-    """One observation from its JSON object; errors cite it as entry `pos`."""
-    label, events, trials = _check_object(entry, f"entry {pos}", _BASE_COLUMNS, _PRIOR_COLUMNS)
+def observation_from_dict(entry: object, where: str) -> Observation:
+    """One observation from its row object; errors cite it at `where`, such as ``line 3`` or ``entry 2``."""
+    label, events, trials = _check_object(entry, where, _BASE_COLUMNS, _PRIOR_COLUMNS)
     if ("prior_alpha" in entry) != ("prior_beta" in entry):
-        raise InputFormatError(f"entry {pos}: prior_alpha and prior_beta must be given together")
+        raise InputFormatError(f"{where}: prior_alpha and prior_beta must be given together")
     prior = UNIFORM_PRIOR
     try:
         if "prior_alpha" in entry:
             prior = BetaParams(entry["prior_alpha"], entry["prior_beta"])
         return Observation(label, events, trials, prior)
     except (ValueError, ValidationError) as exc:
-        raise InputFormatError(f"entry {pos}: {exc}") from exc
+        raise InputFormatError(f"{where}: {exc}") from exc
 
 
 def read_campaign(path: Path | str) -> CampaignSpec:
     """Load a campaign spec from a JSON file."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"not valid JSON: {exc}") from exc
-    return CampaignSpec.from_dict(data)
+    return CampaignSpec.from_dict(_load_json(Path(path).read_text(encoding="utf-8")))

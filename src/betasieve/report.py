@@ -141,7 +141,7 @@ class Report:
                 grid_step = _check_step(grid_step)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise InputFormatError(f"grid_step: {exc}") from exc
-        observations = [observation_from_dict(o, pos) for pos, o in enumerate(rows)]
+        observations = [observation_from_dict(o, f"entry {pos}") for pos, o in enumerate(rows)]
         similarities = [_pair(s, f"similarity entry {pos}") for pos, s in enumerate(entries)]
         try:
             obs_set = validate_set(observations, allow_duplicates=True)

@@ -38,7 +38,10 @@ class BetaParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:  # an int past the float range, whose digits would flood the message
+                raise ValueError(f"{name} must be a finite positive real, got an integer beyond the float range") from None
             if not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be a finite positive real, got {value!r}")
             object.__setattr__(self, name, value)

@@ -258,6 +258,27 @@ class TestSynthCommand:
         assert report["detection"]["outliers"][0] == "arm05"
 
 
+HUGE = "1" + "0" * 5000  # 5001 digits, past the 4300 that Python reads from text by default
+TABLE = [{"label": "a", "events": 10, "trials": 20}, {"label": "b", "events": 11, "trials": 20},
+         {"label": "c", "events": 9, "trials": 20}, {"label": "d", "events": 12, "trials": 20}]
+
+
+class TestHugeIntegers:
+    @pytest.mark.parametrize("command, text, message", [
+        ("detect", json.dumps(TABLE[:3] + [dict(TABLE[3], prior_alpha=10**400, prior_beta=1)]),
+         "error: entry 3: alpha must be a finite positive real, got an integer beyond the float range\n"),
+        ("detect", json.dumps(TABLE).replace('"trials": 20}]', f'"trials": {HUGE}}}]'), "error: not valid JSON: "),
+        ("synth", f'{{"true_theta": 0.5, "seed": {HUGE}, "arms": [{{"trials": 10}}]}}', "error: not valid JSON: "),
+    ], ids=["table-prior-401-digits", "table-trials-5001-digits", "campaign-seed-5001-digits"])
+    def test_exit_two_with_one_error_line(self, runner, tmp_path, command, text, message):
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2, result.exception
+        assert result.stderr.startswith(message) and result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -158,6 +158,28 @@ class TestParseJson:
             parse_observations(json.dumps(rows), "json")
 
 
+class TestOneDecoder:
+    @pytest.mark.parametrize("row", [
+        {"label": "a", "events": 1, "trials": 2, "prior_alpha": 2.0},
+        {"label": "a", "events": 1, "trials": 2, "prior_alpha": 0.0, "prior_beta": 1.0},
+        {"label": "a", "events": 3, "trials": 2},
+        {"label": "", "events": 1, "trials": 2},
+    ], ids=["prior-alone", "prior-zero", "events-above-trials", "empty-label"])
+    def test_csv_and_json_rows_get_one_message(self, row):
+        rows = [row, {"label": "b", "events": 11, "trials": 20}, {"label": "c", "events": 7, "trials": 15},
+                {"label": "d", "events": 29, "trials": 60}]
+        text = "label,events,trials,prior_alpha,prior_beta\n" + "".join(
+            f"{r['label']},{r['events']},{r['trials']},{r.get('prior_alpha', '')},{r.get('prior_beta', '')}\n"
+            for r in rows)
+        with pytest.raises(InputFormatError) as from_csv:
+            parse_observations(text, "csv")
+        with pytest.raises(InputFormatError) as from_json:
+            parse_observations(json.dumps(rows), "json")
+        place, _, problem = str(from_csv.value).partition(": ")
+        assert place == "line 2"
+        assert str(from_json.value) == f"entry 0: {problem}"
+
+
 class TestRoundTrip:
     def _sample_set(self):
         return make_set([15, 11, 7, 29], [30, 20, 15, 60])

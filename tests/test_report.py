@@ -174,6 +174,13 @@ class TestSerialization:
         with pytest.raises(InputFormatError, match="^" + re.escape(message)):
             Report.from_dict(data)
 
+    def test_integer_prior_beyond_float_range_cites_entry(self):
+        data = json.loads(_report(*MIXED).to_json())
+        data["observations"][2].update(prior_alpha=10**400, prior_beta=1)
+        with pytest.raises(InputFormatError, match="^" + re.escape(
+                "entry 2: alpha must be a finite positive real, got an integer beyond the float range")):
+            Report.from_dict(data)
+
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["posteriors"].__setitem__(0, {"label": "s0", "alpha": 99.0, "beta": 2.0}),
          "posterior entry 0 alpha: 99.0 where the evidence gives 16.0"),
