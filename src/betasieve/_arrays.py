@@ -9,7 +9,8 @@ arrays, on their first call:
 
 * :func:`exact_pairs`, the exact evaluator over all pairs of a set of ten
   or more, for :mod:`betasieve.detection`;
-* :func:`grid_overlap`, the sum behind :func:`betasieve.similarity.overlap_grid`;
+* :func:`grid_pairs`, the grid sum over all pairs of a set, for both
+  :mod:`betasieve.detection` and :func:`betasieve.similarity.overlap_grid`;
 * :func:`density_points`, the curve behind :func:`betasieve.similarity.density_curve`.
 """
 
@@ -22,22 +23,23 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericsError
-from .similarity import _NEWTON_STEPS, _NEWTON_TOL, PairSimilarity
+from .similarity import _NEWTON_STEPS, _NEWTON_TOL
 from .special_functions import BetaParams
 
 # exp is exactly 0.0 below about -745.13, so the grid sum skips it there
 _EXP_UNDERFLOW = -746.0
+# bytes of log-density rows per tile of the grid sum (at step 1e-3, 131 rows)
+_GRID_TILE_BYTES = 1 << 20
 
 
-def exact_pairs(posteriors: Sequence[BetaParams], block: int) -> tuple[PairSimilarity, ...]:
+def exact_pairs(posteriors: Sequence[BetaParams], block: int) -> list[float]:
     """:func:`~betasieve.similarity.overlap_exact` of every pair (i, j), i < j, in (i, j) order, `block` pairs per call."""
     first, second = np.triu_indices(len(posteriors), 1)
     shapes = [np.array([getattr(p, name) for p in posteriors]) for name in ("alpha", "beta", "log_norm")]
-    values = np.concatenate([
+    return np.concatenate([
         _overlap_exact_pairs(*shapes, first[n:n + block], second[n:n + block])
         for n in range(0, first.size, block)
-    ])
-    return tuple(map(PairSimilarity, first.tolist(), second.tolist(), values.tolist()))
+    ]).tolist()
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")  # inf and nan are routed below
@@ -217,16 +219,32 @@ def _lentz_floor(v: np.ndarray, tiny: float) -> np.ndarray:
     return v
 
 
-def grid_overlap(p: BetaParams, q: BetaParams, step: float) -> float:
-    """Left Riemann sum of min(p, q) over the interior multiples of a checked `step`, unclamped.
+def grid_pairs(posteriors: Sequence[BetaParams], step: float) -> list[float]:
+    """:func:`~betasieve.similarity.overlap_grid` of every pair (i, j), i < j, in (i, j) order, for a checked `step`.
 
-    exp is taken only where it is not exactly 0.0, and the zeros it would
-    give elsewhere are written directly, so every summand, and numpy's
-    pairwise sum of them, is the same float as with exp taken everywhere.
+    The log-densities L[i] on the grid are taken in tiles of rows of at most
+    `_GRID_TILE_BYTES` (one row at least), so memory does not grow with k.
+    numpy sums each row of min(L[i], L[j0:j1]) as it sums a 1-D array, so no
+    value depends on k or the tiling.  exp is skipped, and 0.0 written,
+    where it gives 0.0.
     """
     log_t, log_1mt = _grid_logs(step)
-    low = np.minimum(_log_pdf_on_grid(p, log_t, log_1mt), _log_pdf_on_grid(q, log_t, log_1mt))
-    return float(np.exp(low, out=np.zeros_like(low), where=low > _EXP_UNDERFLOW).sum()) * step
+    k, tile = len(posteriors), max(1, _GRID_TILE_BYTES // log_t.nbytes)
+    sums = np.zeros((k, k))
+    for a in range(0, k, tile):
+        for b in range(a, k, tile):
+            cols = np.array([_log_pdf_on_grid(p, log_t, log_1mt) for p in posteriors[b:b + tile]])
+            if b == a:
+                rows = cols
+            for i, row in enumerate(rows, a):
+                j0 = max(i + 1, b)
+                sums[i, j0:b + len(cols)] = _exp_row_sums(np.minimum(row, cols[j0 - b:]))
+    return np.clip(sums[np.triu_indices(k, 1)] * step, 0.0, 1.0).tolist()
+
+
+# a function, so that a block and its exp are freed before the next tile is taken
+def _exp_row_sums(low: np.ndarray) -> np.ndarray:
+    return np.exp(low, out=np.zeros_like(low), where=low > _EXP_UNDERFLOW).sum(axis=1)
 
 
 @lru_cache(maxsize=8)

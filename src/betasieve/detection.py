@@ -30,7 +30,8 @@ from operator import attrgetter
 from typing import Sequence
 
 from .posterior import Observation, ObservationSet, posterior_of
-from .similarity import PairSimilarity, overlap_exact, overlap_grid
+from .similarity import PairSimilarity, _check_step, overlap_exact
+from .similarity import overlap_grid  # noqa: F401 -- unused; perfbench/tracing.py wraps it
 from .special_functions import BetaParams
 
 __all__ = [
@@ -106,22 +107,18 @@ def similarity_list(
 def _pairwise(
     posteriors: Sequence[BetaParams], method: str, grid_step: float
 ) -> tuple[PairSimilarity, ...]:
+    """All pairs in (i, j) order, from the scalar loop below `_ARRAY_MIN_PAIRS` exact pairs, else the array evaluator of `method`."""
     if method not in ("exact", "grid"):
         raise ValueError(f"method must be 'exact' or 'grid', got {method!r}")
     k = len(posteriors)
-    if method == "exact" and k * (k - 1) // 2 >= _ARRAY_MIN_PAIRS:
-        from . import _arrays  # numpy is imported on the first set this large
+    if method == "exact" and k * (k - 1) // 2 < _ARRAY_MIN_PAIRS:
+        values = [overlap_exact(p, q) for p, q in combinations(posteriors, 2)]
+    else:
+        from . import _arrays  # numpy is imported on the first set that needs arrays
 
-        return _arrays.exact_pairs(posteriors, _BLOCK_PAIRS)
-    pairs = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            if method == "exact":
-                value = overlap_exact(posteriors[i], posteriors[j])
-            else:
-                value = overlap_grid(posteriors[i], posteriors[j], grid_step)
-            pairs.append(PairSimilarity(i, j, value))
-    return tuple(pairs)
+        values = (_arrays.grid_pairs(posteriors, _check_step(grid_step)) if method == "grid"
+                  else _arrays.exact_pairs(posteriors, _BLOCK_PAIRS))
+    return tuple(PairSimilarity(i, j, v) for (i, j), v in zip(combinations(range(k), 2), values))
 
 
 def build_checklist(pairs: Sequence[PairSimilarity], k: int) -> Checklist:

@@ -20,6 +20,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
+import sys
 from pathlib import Path
 from typing import Sequence
 
@@ -122,6 +124,8 @@ def _parse_cell(cell: str, name: str, kind: type, line: int) -> int | float:
     try:
         return kind(cell.strip())
     except ValueError:
+        if kind is int and re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", cell):  # an integer, refused for its length
+            raise InputFormatError(f"line {line}: {name} has more than {sys.get_int_max_str_digits()} digits") from None
         noun = "an integer" if kind is int else "a real number"
         raise InputFormatError(f"line {line}: {name} must be {noun}, got {cell.strip()!r}") from None
 
@@ -136,8 +140,10 @@ def _parse_json(text: str) -> list[Observation]:
 def _load_json(text: str) -> object:
     try:
         return json.loads(text)
-    except ValueError as exc:  # malformed, or an integer past Python's digit limit
+    except json.JSONDecodeError as exc:
         raise InputFormatError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise InputFormatError(f"not valid JSON: an integer has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
 def observation_to_dict(obs: Observation) -> dict:

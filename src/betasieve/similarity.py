@@ -14,7 +14,8 @@ identical posteriors, 0 for disjoint ones.  Two evaluators are provided:
   ``_arrays.exact_pairs``.
 * :func:`overlap_grid` is a fixed-step left Riemann sum of the pointwise
   minimum, the straightforward evaluation this tool's results are often
-  checked against.  Error is O(step).
+  checked against.  Error is O(step).  Its array form, ``_arrays.grid_pairs``,
+  values a whole set at once, with the same floats pair for pair.
 
 :func:`density_curve` gives the ``--plot-data`` curves from the same
 vectorised log-density as :func:`overlap_grid`.  Both check their step
@@ -223,7 +224,7 @@ def overlap_grid(p: BetaParams, q: BetaParams, step: float = 0.001) -> float:
     step = _check_step(step)
     from . import _arrays  # numpy is imported on the first grid call
 
-    return min(1.0, max(0.0, _arrays.grid_overlap(p, q, step)))
+    return _arrays.grid_pairs([p, q], step)[0]
 
 
 def _check_step(step: float) -> float:

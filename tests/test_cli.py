@@ -261,14 +261,15 @@ class TestSynthCommand:
 HUGE = "1" + "0" * 5000  # 5001 digits, past the 4300 that Python reads from text by default
 TABLE = [{"label": "a", "events": 10, "trials": 20}, {"label": "b", "events": 11, "trials": 20},
          {"label": "c", "events": 9, "trials": 20}, {"label": "d", "events": 12, "trials": 20}]
+DIGIT_LIMIT = "error: not valid JSON: an integer has more than 4300 digits\n"
 
 
 class TestHugeIntegers:
     @pytest.mark.parametrize("command, text, message", [
         ("detect", json.dumps(TABLE[:3] + [dict(TABLE[3], prior_alpha=10**400, prior_beta=1)]),
          "error: entry 3: alpha must be a finite positive real, got an integer beyond the float range\n"),
-        ("detect", json.dumps(TABLE).replace('"trials": 20}]', f'"trials": {HUGE}}}]'), "error: not valid JSON: "),
-        ("synth", f'{{"true_theta": 0.5, "seed": {HUGE}, "arms": [{{"trials": 10}}]}}', "error: not valid JSON: "),
+        ("detect", json.dumps(TABLE).replace('"trials": 20}]', f'"trials": {HUGE}}}]'), DIGIT_LIMIT),
+        ("synth", f'{{"true_theta": 0.5, "seed": {HUGE}, "arms": [{{"trials": 10}}]}}', DIGIT_LIMIT),
     ], ids=["table-prior-401-digits", "table-trials-5001-digits", "campaign-seed-5001-digits"])
     def test_exit_two_with_one_error_line(self, runner, tmp_path, command, text, message):
         path = tmp_path / "input.json"
@@ -277,6 +278,15 @@ class TestHugeIntegers:
         assert result.exit_code == 2, result.exception
         assert result.stderr.startswith(message) and result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
+        assert "set_int_max_str_digits" not in result.stderr
+
+    @pytest.mark.parametrize("cell", [HUGE, "1_" + HUGE[1:]], ids=["digits", "underscore-grouped"])
+    def test_csv_cell_past_digit_limit_is_named_not_echoed(self, runner, tmp_path, cell):
+        path = tmp_path / "table.csv"
+        path.write_text(f"label,events,trials\na,10,20\nb,11,20\nc,9,20\nd,1,{cell}\n", encoding="utf-8")
+        result = runner.invoke(main, ["detect", str(path)])
+        assert result.exit_code == 2, result.exception
+        assert result.stderr == "error: line 5: trials has more than 4300 digits\n"  # 48 bytes, no echo
 
 
 class TestEntryPoints:

@@ -1,5 +1,7 @@
 """Checklist construction, outlier nomination, and the screening loop."""
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,9 @@ from betasieve.detection import (
     find_outlier,
     similarity_list,
 )
+from betasieve.formats import read_observations
 from betasieve.posterior import Observation
+from betasieve.similarity import overlap_grid
 
 from helpers import make_set, random_count_sets
 from reference import reference_run
@@ -24,6 +28,7 @@ MIXED = ([15, 11, 7, 29, 100], [30, 20, 15, 60, 200])
 # the largest set the scalar loop serves and the smallest the array evaluator does
 K_SCALAR = max(k for k in range(2, 100) if k * (k - 1) // 2 < detection._ARRAY_MIN_PAIRS)
 K_ARRAY = K_SCALAR + 1
+DATA = Path(__file__).parent / "data"
 
 
 class TestSimilarityList:
@@ -55,6 +60,45 @@ class TestSimilarityList:
         grid = similarity_list(s, method="grid", grid_step=0.001)
         for e, g in zip(exact, grid):
             assert abs(e.value - g.value) < 5e-3
+
+
+class TestGridMatrix:
+    @pytest.mark.parametrize("step", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("table", ["wide_hundred", "random-k12"])
+    def test_set_values_equal_pair_by_pair(self, table, step):
+        # a set's grid overlaps come from one matrix; numpy must reduce each
+        # of its rows exactly as it reduces the pair's own 1-D array
+        if table == "wide_hundred":
+            s = read_observations(DATA / "wide_hundred.csv")
+        else:
+            s = make_set(*random_count_sets(1212, 1, k_range=(12, 12), n_range=(10, 100_000))[0])
+        posts = s.posteriors
+        got = [repr(ps.value) for ps in similarity_list(s, method="grid", grid_step=step)]
+        assert got == [repr(overlap_grid(posts[i], posts[j], step))
+                       for i in range(s.k) for j in range(i + 1, s.k)]
+
+    def test_memory_does_not_grow_with_the_set(self):
+        # at step 1e-5 a log-density row (800 kB) fills a tile on its own, so
+        # the set is summed pair by pair and needs about what one pair needs,
+        # as the per-pair loop did: a handful of rows, not a k x G matrix
+        step = 1e-5
+        s = make_set(*random_count_sets(1212, 1, k_range=(12, 12), n_range=(10, 100_000))[0])
+        posts = s.posteriors
+        row_bytes = _arrays._grid_logs(step)[0].nbytes  # also caches the grid outside the trace
+        tracemalloc.start()
+        try:
+            got = similarity_list(s, method="grid", grid_step=step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * row_bytes  # 4.1 rows here; the per-pair loop took 3
+        assert [repr(ps.value) for ps in got] == [repr(overlap_grid(posts[ps.i], posts[ps.j], step)) for ps in got]
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, 0.02, float("nan"), float("inf")])
+    @pytest.mark.parametrize("call", [similarity_list, detect, find_outlier])
+    def test_step_checked_for_the_set(self, call, step):
+        with pytest.raises(ValueError, match=r"step must lie in \(0, 0\.01\]"):
+            call(make_set(*MIXED), method="grid", grid_step=step)
 
 
 def _pairs(values_by_pair):

@@ -327,9 +327,9 @@ class TestOverlapGrid:
         low = np.minimum(_arrays._log_pdf_on_grid(p, log_t, log_1mt), _arrays._log_pdf_on_grid(q, log_t, log_1mt))
         underflow = low < -746.0
         assert masked == ("all" if underflow.all() else "some" if underflow.any() else "none")
-        plain = float(np.exp(low).sum()) * step
-        assert repr(_arrays.grid_overlap(p, q, step)) == repr(plain)
-        assert overlap_grid(p, q, step) == min(1.0, max(0.0, plain))
+        plain = min(1.0, max(0.0, float(np.exp(low).sum()) * step))
+        assert repr(_arrays.grid_pairs([p, q], step)[0]) == repr(plain)
+        assert overlap_grid(p, q, step) == plain
 
 
 class TestDensityCurve:
